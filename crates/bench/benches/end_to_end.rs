@@ -12,7 +12,7 @@
 
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
-use fe_sim::{run_scheme, run_scheme_replayed, RunLength, SchemeSpec};
+use fe_sim::{run_cells, CellRun, CellSource, RunLength, SchemeSpec};
 use fe_trace::Trace;
 use std::hint::black_box;
 use std::time::Instant;
@@ -25,6 +25,16 @@ fn main() {
         measure: 150_000,
     };
     let iters = 10u32;
+    let run = |source, spec: &SchemeSpec| {
+        run_cells(
+            &program,
+            source,
+            std::slice::from_ref(spec),
+            &machine,
+            CellRun::full(len),
+            3,
+        )
+    };
 
     println!(
         "end_to_end: {} iterations of {}K+{}K instructions per scheme",
@@ -41,10 +51,10 @@ fn main() {
         SchemeSpec::Ideal,
     ] {
         // One untimed warmup run to populate allocator/caches.
-        black_box(run_scheme(&program, &spec, &machine, len, 3));
+        black_box(run(CellSource::Live, &spec));
         let t0 = Instant::now();
         for _ in 0..iters {
-            black_box(run_scheme(&program, &spec, &machine, len, 3));
+            black_box(run(CellSource::Live, &spec));
         }
         let elapsed = t0.elapsed().as_secs_f64();
         let per_run_ms = 1e3 * elapsed / iters as f64;
@@ -64,14 +74,10 @@ fn main() {
     );
     println!("{:14} {:>10} {:>12}", "scheme", "ms/run", "sim MIPS");
     for spec in [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()] {
-        black_box(run_scheme_replayed(
-            &program, &trace, &spec, &machine, len, 3,
-        ));
+        black_box(run(CellSource::Trace(&trace), &spec));
         let t0 = Instant::now();
         for _ in 0..iters {
-            black_box(run_scheme_replayed(
-                &program, &trace, &spec, &machine, len, 3,
-            ));
+            black_box(run(CellSource::Trace(&trace), &spec));
         }
         let elapsed = t0.elapsed().as_secs_f64();
         let per_run_ms = 1e3 * elapsed / iters as f64;

@@ -48,12 +48,8 @@ use std::time::Instant;
 
 use fe_bench::{banner, default_len, env_f64, machine, suite, SEED};
 use fe_cfg::WorkloadSpec;
-use fe_model::SimStats;
 use fe_sim::json::Json;
-use fe_sim::{
-    run_scheme, run_scheme_replayed, run_scheme_sampled_replayed, run_schemes_batch_replayed,
-    run_schemes_batch_sampled_replayed, RunLength, SampledStats, SamplingSpec, SchemeSpec,
-};
+use fe_sim::{run_cells, CellRun, CellSource, CellStats, RunLength, SamplingSpec, SchemeSpec};
 use fe_trace::Trace;
 
 /// One measured (workload, scheme, mode) cell.
@@ -128,41 +124,35 @@ fn main() {
         // Record once (untimed): every trace-driven mode shares it.
         let trace = (modes.iter().any(|m| m != "full"))
             .then(|| Trace::record(&program, SEED, len.trace_instrs(&machine)));
-        let mut replay_stats: Vec<Option<SimStats>> = vec![None; specs.len()];
-        let mut sampled_stats: Vec<Option<SampledStats>> = vec![None; specs.len()];
+        let replayed = || CellSource::Trace(trace.as_ref().expect("trace recorded"));
+        let sampled_run = CellRun::sampled(len, sampling);
+        let mut replay_stats: Vec<Option<CellStats>> = vec![None; specs.len()];
+        let mut sampled_stats: Vec<Option<CellStats>> = vec![None; specs.len()];
         for (si, spec) in specs.iter().enumerate() {
-            let mut full_stats: Option<SimStats> = None;
+            let mut full_stats: Option<CellStats> = None;
+            let lone = |source: CellSource, run: CellRun| {
+                run_cells(
+                    &program,
+                    source,
+                    std::slice::from_ref(spec),
+                    &machine,
+                    run,
+                    SEED,
+                )
+                .pop()
+            };
             for mode in &modes {
                 let t0 = Instant::now();
                 match mode.as_str() {
-                    "full" => {
-                        full_stats = Some(run_scheme(&program, spec, &machine, len, SEED));
-                    }
-                    "replay" => {
-                        replay_stats[si] = Some(run_scheme_replayed(
-                            &program,
-                            trace.as_ref().expect("trace recorded"),
-                            spec,
-                            &machine,
-                            len,
-                            SEED,
-                        ));
-                    }
+                    "full" => full_stats = lone(CellSource::Live, CellRun::full(len)),
+                    "replay" => replay_stats[si] = lone(replayed(), CellRun::full(len)),
                     "sampled" => {
                         // Sampling needs room for at least one detail
                         // window; skip the mode on tiny smoke lengths.
                         if len.measure < sampling.detail {
                             continue;
                         }
-                        sampled_stats[si] = Some(run_scheme_sampled_replayed(
-                            &program,
-                            trace.as_ref().expect("trace recorded"),
-                            spec,
-                            &machine,
-                            len,
-                            sampling,
-                            SEED,
-                        ));
+                        sampled_stats[si] = lone(replayed(), sampled_run);
                     }
                     // Batch modes run once per workload group, below.
                     _ => continue,
@@ -195,9 +185,15 @@ fn main() {
         // scheme's pipeline from the shared stream; wall clock covers
         // the whole group, so each cell is charged an even share.
         if has("batch") {
-            let trace = trace.as_ref().expect("trace recorded");
             let t0 = Instant::now();
-            let stats = run_schemes_batch_replayed(&program, trace, &specs, &machine, len, SEED);
+            let stats = run_cells(
+                &program,
+                replayed(),
+                &specs,
+                &machine,
+                CellRun::full(len),
+                SEED,
+            );
             let wall = t0.elapsed().as_secs_f64() / specs.len() as f64;
             for (si, spec) in specs.iter().enumerate() {
                 // Self-check: the batch engine must be bit-identical to
@@ -222,11 +218,8 @@ fn main() {
             }
         }
         if has("batch-sampled") && len.measure >= sampling.detail {
-            let trace = trace.as_ref().expect("trace recorded");
             let t0 = Instant::now();
-            let stats = run_schemes_batch_sampled_replayed(
-                &program, trace, &specs, &machine, len, sampling, SEED,
-            );
+            let stats = run_cells(&program, replayed(), &specs, &machine, sampled_run, SEED);
             let wall = t0.elapsed().as_secs_f64() / specs.len() as f64;
             for (si, spec) in specs.iter().enumerate() {
                 if let Some(sampled) = &sampled_stats[si] {

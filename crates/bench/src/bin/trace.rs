@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use fe_bench::{default_len, machine, suite, SEED};
 use fe_cfg::{Program, WorkloadSpec};
 use fe_model::BranchKind;
-use fe_sim::{run_scheme, run_scheme_replayed, SchemeSpec};
+use fe_sim::{run_cells, CellRun, CellSource, SchemeSpec};
 use fe_trace::Trace;
 
 fn usage() -> ExitCode {
@@ -188,7 +188,16 @@ fn cmd_replay(path: &str, scheme_label: &str) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let stats = run_scheme_replayed(&program, &trace, &scheme, &machine, len, SEED);
+    let source = CellSource::Trace(&trace);
+    let cells = run_cells(
+        &program,
+        source,
+        &[scheme],
+        &machine,
+        CellRun::full(len),
+        SEED,
+    );
+    let stats = &cells[0].stats;
     println!(
         "replayed {} under {}: IPC {:.3}, L1-I MPKI {:.2}, BTB MPKI {:.2}, \
          misfetches {}, cycles {}",
@@ -220,8 +229,13 @@ fn cmd_verify(workload: &str) -> ExitCode {
     );
     let mut ok = true;
     for scheme in [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()] {
-        let live = run_scheme(&program, &scheme, &machine, len, SEED);
-        let replayed = run_scheme_replayed(&program, &trace, &scheme, &machine, len, SEED);
+        let specs = std::slice::from_ref(&scheme);
+        let run = |source| {
+            let cells = run_cells(&program, source, specs, &machine, CellRun::full(len), SEED);
+            cells[0].stats.clone()
+        };
+        let live = run(CellSource::Live);
+        let replayed = run(CellSource::Trace(&trace));
         let verdict = if live == replayed { "ok" } else { "MISMATCH" };
         ok &= live == replayed;
         println!(

@@ -13,8 +13,6 @@
 //! exactly what a real core executing this binary would retire — the
 //! property that makes BTB/predecoder/footprint modeling faithful.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use fe_model::{Addr, BlockSource, RetiredBlock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -24,19 +22,6 @@ use crate::zipf::sample_geometric;
 
 /// Maximum loop trips per visit, bounding tail latency of a region.
 const MAX_TRIPS: u32 = 64;
-
-/// Process-wide count of executor walks started ([`Executor::new`]
-/// calls). Probe for tests asserting record-once sweep behavior (a
-/// multi-scheme trace-replay sweep must walk each workload exactly
-/// once); meaningful only when the probing test runs in its own
-/// process, since every walk in the process counts.
-static WALKS_STARTED: AtomicU64 = AtomicU64::new(0);
-
-/// Executor walks started so far in this process (tests).
-#[doc(hidden)]
-pub fn walks_started() -> u64 {
-    WALKS_STARTED.load(Ordering::Relaxed)
-}
 
 /// Deterministic, infinite retired-block stream over a program.
 ///
@@ -72,7 +57,6 @@ pub struct Executor<'p> {
 impl<'p> Executor<'p> {
     /// Creates an executor starting at the program entry.
     pub fn new(program: &'p Program, seed: u64) -> Self {
-        WALKS_STARTED.fetch_add(1, Ordering::Relaxed);
         let entry_block = program
             .block_id_at(program.entry())
             .expect("program entry must be a block");

@@ -1,10 +1,11 @@
-//! The single-decode multi-scheme batch engine.
+//! The run driver: one schedule for every cell, alone or batched.
 //!
-//! A sweep is N cells timing the *same* retired-instruction stream
-//! under different delivery schemes. The serial path decodes the shared
-//! trace once per cell; on a single-core host that decode (and the
-//! executor walk behind it) is pure replicated work. This module runs a
-//! whole same-workload scheme group in one pass:
+//! Every cell — a full-detail run (timed warmup, then measurement) or a
+//! sampled one (initial functional warm, then fast-forward / warm /
+//! timed-detail intervals) — advances through the same resumable
+//! `Schedule` state machine. A lone cell runs it to completion over
+//! its own private source; a batch advances a whole same-workload scheme
+//! group through it in bounded turns over one decoded stream:
 //!
 //! ```text
 //!            ┌────────────── SharedWindow ──────────────┐
@@ -20,9 +21,10 @@
 //!   pipeline pulls through its own [`SharedCursor`]
 //!   ([`SourceKind::Shared`]), so every block is decoded exactly once
 //!   for the whole group and the window is pruned as the trailing
-//!   cursor advances.
-//! * [`BatchSimulator`] owns the cell array ([`Simulator`] pipelines in
-//!   a contiguous `Vec`, each cell's hot per-pipeline state — TAGE fold
+//!   cursor advances. A lone cell has no window: it reads its private
+//!   replayer or store directly, so their seekable skips still apply.
+//! * `BatchSimulator` owns the cell array ([`Simulator`] pipelines in a
+//!   contiguous `Vec`, each cell's hot per-pipeline state — TAGE fold
 //!   scratch, BTB set-maps, fetch-fill scratch — allocated per cell and
 //!   touched in round-robin order) and advances the cells in bounded
 //!   retired-instruction rounds. Chunked rounds rather than strict
@@ -30,27 +32,26 @@
 //!   thrashes every cell's predictor tables in and out of cache, while
 //!   ~10⁶-instruction chunks keep each cell's tables hot *and* still
 //!   bound the window.
-//! * Each cell runs with the batch accelerations armed: the TAGE fold
-//!   scratch (`Tage::enable_fold_scratch` in `fe-uarch`, O(1)
+//! * Each batched cell runs with the batch accelerations armed: the TAGE
+//!   fold scratch (`Tage::enable_fold_scratch` in `fe-uarch`, O(1)
 //!   folded-history maintenance instead of
 //!   per-lookup folding — the single hottest loop in the simulator)
 //!   and quiescent-span skipping
 //!   (`Simulator::try_skip_quiet_span`, bulk-accounting stretches
 //!   where every stage is provably inert). Both are bit-identical by
 //!   construction and double-checked by `tests/batch_engine.rs`
-//!   byte-for-byte against the serial path, which keeps the classic
-//!   code as the reference.
-//! * In sampled mode the *initial functional warm* is shared too:
-//!   cells with the same warmup length form a group whose leader walks
-//!   the warm window once, feeding every follower's scheme the same
-//!   retired blocks as riders; when the group's warm completes, deep
-//!   copies of the leader's scheme-independent structures (L1-I, TAGE,
-//!   retire RAS, memory image) are installed into each follower, which
-//!   merely seeks its cursor past the warmed prefix. The structures
-//!   depend only on the retired stream — never on the scheme riding
-//!   above them, and no in-tree scheme's warm hook writes through the
-//!   front-end context — so each follower lands in exactly the state
-//!   its own serial warm would have produced.
+//!   byte-for-byte against lone cells, which run with the accelerations
+//!   off and are the reference.
+//! * In sampled mode the *initial functional warm* is shared too: the
+//!   first cell leads, walking the warm window once and feeding every
+//!   follower's scheme the same retired blocks as riders; when the warm
+//!   completes, deep copies of the leader's scheme-independent
+//!   structures (L1-I, TAGE, retire RAS, memory image) are installed
+//!   into each follower, which merely seeks its cursor past the warmed
+//!   prefix. The structures depend only on the retired stream — never
+//!   on the scheme riding above them, and no in-tree scheme's warm hook
+//!   writes through the front-end context — so each follower lands in
+//!   exactly the state its own warm would have produced.
 //! * Cells whose conditional retirement streams are provably identical
 //!   share the TAGE retire-side work: the first cell to reach each
 //!   retirement computes the tables' evolution once and records the
@@ -58,27 +59,25 @@
 //!   history)` key and replay the writes instead of re-deriving them
 //!   (see [`TageShare`] and `setup_retire_share`). Any key mismatch
 //!   permanently drops the cell back to local computation, so the
-//!   share can only ever reproduce — never approximate — the serial
-//!   result. `SHOTGUN_NO_RETIRE_SHARE=1` switches it off for triage.
+//!   share can only ever reproduce — never approximate — the lone-cell
+//!   result.
 //!
-//! Statistics are per-cell exactly as before: every cell keeps its own
-//! pipeline, memory system, RNG stream, and stall accounting — only
-//! the *decode* is shared. `Experiment::run` routes compatible cell
-//! groups here (see its docs for the grouping rule) and falls back to
-//! the serial path for singletons and incompatible cells.
+//! Statistics are per-cell exactly as for a lone cell: every cell keeps
+//! its own pipeline, memory system, RNG stream, and stall accounting —
+//! only the *decode* is shared. [`run_cells`](crate::run_cells) decides
+//! which cells batch (see its docs for the grouping rule).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use fe_cfg::Program;
-use fe_model::{BlockSource, MachineConfig, RetiredBlock, SimStats};
-use fe_trace::Trace;
-use fe_uarch::{MemorySystem, TageShare};
+use fe_model::{BlockSource, RetiredBlock, SimStats};
+use fe_uarch::TageShare;
 
-use crate::engine::{EngineScheme, SchemeKind, Simulator};
-use crate::runner::{assert_trace_matches, RunLength, SchemeSpec};
+use crate::engine::{EngineScheme, Simulator};
+use crate::runner::{CellStats, RunLength};
 use crate::sampling::{SampledStats, SamplingSpec, RAMP_CAP};
+use crate::snapshot::WarmSnapshot;
 use crate::source::SourceKind;
 
 /// Retired instructions each cell advances per round-robin turn. Large
@@ -213,14 +212,6 @@ impl<'p> SharedWindow<'p> {
             id: inner.pos.len() - 1,
         }
     }
-
-    /// Marks a cursor finished so the window no longer retains blocks
-    /// for it.
-    fn release(&self, id: usize) {
-        let mut inner = self.inner.borrow_mut();
-        inner.pos[id] = u64::MAX;
-        inner.prune();
-    }
 }
 
 /// One reader of a [`SharedWindow`] — a [`BlockSource`]-shaped handle
@@ -250,11 +241,17 @@ impl SharedCursor<'_> {
     pub fn next_blocks_into(&mut self, n: usize, out: &mut VecDeque<RetiredBlock>) -> usize {
         self.inner.borrow_mut().next_n_for(self.id, n, out)
     }
+
+    /// Marks this reader finished so the window no longer retains
+    /// blocks for it.
+    pub(crate) fn release(&self) {
+        let mut inner = self.inner.borrow_mut();
+        inner.pos[self.id] = u64::MAX;
+        inner.prune();
+    }
 }
 
-/// Where one cell is in its run — the serial control flow of
-/// `Simulator::run` / `run_sampled` unrolled into a resumable state
-/// machine so cells can advance in bounded turns.
+/// Where one cell is in its run.
 enum Phase {
     /// Full detail: timed warmup before measurement starts.
     Warmup,
@@ -268,229 +265,35 @@ enum Phase {
     InitWarm {
         remaining: u64,
     },
-    /// Sampled: the interval loop, one whole interval per turn.
+    /// Sampled: the interval loop, one whole interval per step.
     Intervals {
         end: u64,
     },
     Done,
 }
 
-struct BatchCell<'p> {
-    sim: Simulator<'p>,
+/// One cell's run schedule — warmup → measure in full detail, or
+/// initial functional warm → intervals when sampled — as a resumable
+/// state machine over the cell's [`Simulator`]. The only driver of
+/// either run shape: batches advance it in bounded turns, lone cells
+/// and [`Simulator::run`] run it to completion.
+pub(crate) struct Schedule {
     len: RunLength,
-    label: String,
-    cursor_id: usize,
-    phase: Phase,
-    stats: Option<SimStats>,
-    intervals: Vec<SimStats>,
-    truncated: bool,
-}
-
-impl<'p> BatchCell<'p> {
-    fn done(&self) -> bool {
-        matches!(self.phase, Phase::Done)
-    }
-
-    /// One tick with the quiescent-span fast path.
-    #[inline]
-    fn tick(&mut self) {
-        if self.sim.try_skip_quiet_span() == 0 {
-            self.sim.cycle();
-        }
-    }
-
-    /// Advances until this cell has retired `target` instructions (or
-    /// finished), mirroring the serial control flow phase for phase.
-    fn advance(&mut self, target: u64, sampling: Option<SamplingSpec>, window: &SharedWindow<'p>) {
-        loop {
-            if self.done() || self.sim.state.retired_total >= target {
-                return;
-            }
-            match self.phase {
-                Phase::Warmup => {
-                    if self.sim.state.retired_total >= self.len.warmup
-                        || self.sim.state.stream_ended()
-                    {
-                        self.sim.begin_measurement();
-                        let end = self.sim.state.retired_total + self.len.measure;
-                        self.phase = Phase::Measure { end };
-                    } else {
-                        self.tick();
-                    }
-                }
-                Phase::Measure { end } => {
-                    if self.sim.state.retired_total >= end || self.sim.state.stream_ended() {
-                        self.stats = Some(self.sim.finalize());
-                        self.finish(window);
-                    } else {
-                        self.tick();
-                    }
-                }
-                Phase::InitWarm { remaining } => {
-                    if remaining == 0 || self.sim.state.stream_ended() {
-                        let end = self
-                            .sim
-                            .state
-                            .retired_total
-                            .saturating_add(self.len.measure);
-                        self.phase = Phase::Intervals { end };
-                    } else {
-                        // Chunked against the running remainder: each
-                        // chunk stops at the first block boundary at or
-                        // past its sub-target, so the final boundary is
-                        // the first one at or past the whole warmup —
-                        // exactly where one unchunked warm would stop.
-                        // `warmed < chunk` only happens when the source
-                        // ran dry, which makes `stream_ended()` true
-                        // and transitions on the next turn.
-                        let chunk = remaining.min(ROUND_INSTRS);
-                        let warmed = self.sim.warm_functional(chunk);
-                        self.phase = Phase::InitWarm {
-                            remaining: remaining.saturating_sub(warmed),
-                        };
-                    }
-                }
-                Phase::Intervals { end } => {
-                    let spec = sampling.expect("sampled phase without a sampling spec");
-                    if self.sim.state.retired_total >= end || self.sim.state.stream_ended() {
-                        self.finish(window);
-                        continue;
-                    }
-                    self.step_interval(end, spec, window);
-                }
-                Phase::Done => unreachable!("checked above"),
-            }
-        }
-    }
-
-    /// One iteration of the serial `run_sampled_measure` loop: tail
-    /// warm, or skip + functional warm + timed detail window.
-    fn step_interval(&mut self, end: u64, spec: SamplingSpec, window: &SharedWindow<'p>) {
-        let budget = (end - self.sim.state.retired_total).min(spec.interval);
-        if budget < spec.detail {
-            // Tail shorter than a detail window: cover it functionally
-            // (a sub-length measured window would skew the interval
-            // statistics — same rule as the serial loop).
-            self.sim.warm_functional(budget);
-            return;
-        }
-        let detail = spec.detail;
-        let fwarm = spec.warmup.min(budget - detail);
-        let skip = budget - detail - fwarm;
-        self.sim.skip_functional(skip);
-        self.sim.warm_functional(fwarm);
-        if self.sim.state.stream_ended() || !self.sim.begin_interval() {
-            self.finish(window);
-            return;
-        }
-        let ramp = (detail / 16).min(RAMP_CAP);
-        let ramp_end = self.sim.state.retired_total + ramp;
-        while self.sim.state.retired_total < ramp_end && !self.sim.state.stream_ended() {
-            self.tick();
-        }
-        self.sim.begin_measurement();
-        let measure_end = self.sim.state.retired_total + (detail - ramp);
-        while self.sim.state.retired_total < measure_end && !self.sim.state.stream_ended() {
-            self.tick();
-        }
-        let stats = self.sim.finalize();
-        if stats.instructions > 0 {
-            self.intervals.push(stats);
-        }
-    }
-
-    fn finish(&mut self, window: &SharedWindow<'p>) {
-        self.truncated = self.sim.state.source_dry;
-        self.phase = Phase::Done;
-        self.sim.release_tage_share();
-        window.release(self.cursor_id);
-    }
-}
-
-/// N scheme pipelines over one decoded stream; see the module docs.
-///
-/// Add every cell with [`Self::add_cell`], then consume the batch with
-/// [`Self::run`] (full detail) or [`Self::run_sampled`] (interval
-/// sampling). Results come back in cell-insertion order and are
-/// byte-identical to running each cell alone through the serial path.
-pub struct BatchSimulator<'p> {
-    program: &'p Program,
-    machine: MachineConfig,
-    seed: u64,
     sampling: Option<SamplingSpec>,
-    window: SharedWindow<'p>,
-    cells: Vec<BatchCell<'p>>,
+    phase: Phase,
+    /// The full-detail result, once measurement ends.
+    stats: Option<SimStats>,
+    /// The sampled result: every measured interval so far.
+    intervals: Vec<SimStats>,
 }
 
-impl<'p> BatchSimulator<'p> {
-    /// Builds a batch over `source` (typically a trace replayer). Pass
-    /// `sampling` to run every cell in sampled mode; cells of a batch
-    /// all run the same mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `machine` fails validation (on the first `add_cell`)
-    /// or `sampling` fails [`SamplingSpec::validate`].
-    pub fn new(
-        program: &'p Program,
-        machine: MachineConfig,
-        source: impl Into<SourceKind<'p>>,
-        seed: u64,
-        sampling: Option<SamplingSpec>,
-    ) -> Self {
-        if let Some(spec) = sampling {
-            if let Err(e) = spec.validate() {
-                // audit-allow(no-unchecked-panic): constructor contract — an invalid sampling spec is a caller bug, not a runtime condition; Experiment::try_run is the typed path
-                panic!("invalid sampling spec: {e}");
-            }
-        }
-        BatchSimulator {
-            program,
-            machine,
-            seed,
-            sampling,
-            window: SharedWindow::new(source),
-            cells: Vec::new(),
-        }
-    }
-
-    /// Adds one scheme cell running `len` instructions. Cells may have
-    /// heterogeneous run lengths; each finishes (and stops holding the
-    /// shared window back) on its own schedule.
-    ///
-    /// # Panics
-    ///
-    /// In sampled mode, panics if `len.measure` cannot fit one detail
-    /// window — same guard as the serial sampled run.
-    pub fn add_cell(&mut self, spec: &SchemeSpec, len: RunLength) {
-        if let Some(s) = self.sampling {
-            assert!(
-                len.measure >= s.detail,
-                "sampled batch cell measures {} instructions — too short for even one \
-                 {}-instruction detail window (shrink the spec or run full detail)",
-                len.measure,
-                s.detail,
-            );
-        }
-        let cursor = self.window.cursor();
-        let cursor_id = cursor.id;
-        let scheme = spec.build(&self.machine);
-        let mem = MemorySystem::new(&self.machine);
-        let mut sim = Simulator::with_source(
-            self.program,
-            self.machine.clone(),
-            scheme,
-            self.seed,
-            mem,
-            cursor,
-        );
-        sim.enable_batch_accel();
-        self.cells.push(BatchCell {
-            sim,
+impl Schedule {
+    /// A fresh schedule: full detail, or sampled per `sampling`.
+    pub(crate) fn new(len: RunLength, sampling: Option<SamplingSpec>) -> Self {
+        Schedule {
             len,
-            label: spec.label(),
-            cursor_id,
-            phase: match self.sampling {
+            sampling,
+            phase: match sampling {
                 Some(_) => Phase::InitWarm {
                     remaining: len.warmup,
                 },
@@ -498,367 +301,308 @@ impl<'p> BatchSimulator<'p> {
             },
             stats: None,
             intervals: Vec::new(),
-            truncated: false,
+        }
+    }
+
+    fn done(&self) -> bool {
+        matches!(self.phase, Phase::Done)
+    }
+
+    /// Advances until `sim` has retired `target` instructions (or the
+    /// run finished).
+    pub(crate) fn advance(&mut self, sim: &mut Simulator<'_>, target: u64) {
+        while !self.done() && sim.state.retired_total < target {
+            self.step(sim, target);
+        }
+    }
+
+    /// Runs a sampled cell's initial functional warm to completion.
+    pub(crate) fn warm(&mut self, sim: &mut Simulator<'_>) {
+        while matches!(self.phase, Phase::InitWarm { .. }) {
+            self.step(sim, u64::MAX);
+        }
+    }
+
+    /// Replaces a sampled cell's initial functional warm with a
+    /// restored snapshot (see the [`snapshot`](crate::snapshot) module).
+    pub(crate) fn restore(&mut self, sim: &mut Simulator<'_>, snap: &WarmSnapshot) {
+        sim.restore_warm(snap);
+        self.start_intervals(sim);
+    }
+
+    /// One unit of work: timed steps up to the phase's end (or
+    /// `target`), a warm chunk, or a whole sampled interval.
+    fn step(&mut self, sim: &mut Simulator<'_>, target: u64) {
+        match self.phase {
+            Phase::Warmup => {
+                sim.step_until(self.len.warmup.min(target));
+                if sim.state.retired_total >= self.len.warmup || sim.state.stream_ended() {
+                    sim.begin_measurement();
+                    // Measure relative to the actual measurement start
+                    // (warmup may overshoot by a partial retire-width).
+                    self.phase = Phase::Measure {
+                        end: sim.state.retired_total + self.len.measure,
+                    };
+                }
+            }
+            Phase::Measure { end } => {
+                sim.step_until(end.min(target));
+                if sim.state.retired_total >= end || sim.state.stream_ended() {
+                    self.stats = Some(sim.finalize());
+                    self.finish(sim);
+                }
+            }
+            Phase::InitWarm { remaining } => {
+                if remaining == 0 || sim.state.stream_ended() {
+                    self.start_intervals(sim);
+                } else {
+                    // Chunked against the running remainder: each chunk
+                    // stops at the first block boundary at or past its
+                    // sub-target, so the final boundary is the first one
+                    // at or past the whole warmup — exactly where one
+                    // unchunked warm would stop. `warmed < chunk` only
+                    // happens when the source ran dry, which makes
+                    // `stream_ended()` true and transitions next step.
+                    let warmed = sim.warm_functional(remaining.min(ROUND_INSTRS));
+                    self.phase = Phase::InitWarm {
+                        remaining: remaining.saturating_sub(warmed),
+                    };
+                }
+            }
+            Phase::Intervals { end } => {
+                if sim.state.retired_total >= end || sim.state.stream_ended() {
+                    self.finish(sim);
+                } else {
+                    self.step_interval(sim, end);
+                }
+            }
+            Phase::Done => {}
+        }
+    }
+
+    fn start_intervals(&mut self, sim: &Simulator<'_>) {
+        self.phase = Phase::Intervals {
+            end: sim.state.retired_total.saturating_add(self.len.measure),
+        };
+    }
+
+    /// One sampled interval: a tail warm, or skip + functional warm +
+    /// timed detail window.
+    fn step_interval(&mut self, sim: &mut Simulator<'_>, end: u64) {
+        let spec = self
+            .sampling
+            .expect("interval phase is only entered by sampled schedules");
+        let budget = (end - sim.state.retired_total).min(spec.interval);
+        if budget < spec.detail {
+            // Tail shorter than a detail window: cover it functionally.
+            // A sub-length measured window would enter the per-interval
+            // statistics at full weight and skew the mean and
+            // confidence interval.
+            sim.warm_functional(budget);
+            return;
+        }
+        let detail = spec.detail;
+        let fwarm = spec.warmup.min(budget - detail);
+        let skip = budget - detail - fwarm;
+        sim.skip_functional(skip);
+        sim.warm_functional(fwarm);
+        if sim.state.stream_ended() || !sim.begin_interval() {
+            self.finish(sim);
+            return;
+        }
+        // Unmeasured ramp: refill the FTQ/supply so the measured window
+        // does not charge artificial cold-pipeline stalls.
+        let ramp = (detail / 16).min(RAMP_CAP);
+        sim.step_until(sim.state.retired_total + ramp);
+        sim.begin_measurement();
+        sim.step_until(sim.state.retired_total + (detail - ramp));
+        let stats = sim.finalize();
+        if stats.instructions > 0 {
+            self.intervals.push(stats);
+        }
+    }
+
+    fn finish(&mut self, sim: &mut Simulator<'_>) {
+        self.phase = Phase::Done;
+        sim.release_tage_share();
+        sim.state.source.release();
+    }
+
+    /// The finished cell's statistics.
+    pub(crate) fn into_stats(self) -> CellStats {
+        match self.sampling {
+            None => CellStats {
+                stats: self.stats.expect("a driven cell finishes its measurement"),
+                sampled: None,
+            },
+            Some(_) => {
+                let sampled = SampledStats {
+                    intervals: self.intervals,
+                };
+                CellStats {
+                    stats: sampled.aggregate(),
+                    sampled: Some(sampled),
+                }
+            }
+        }
+    }
+}
+
+struct BatchCell<'p> {
+    sim: Simulator<'p>,
+    schedule: Schedule,
+    label: String,
+}
+
+/// Cells driven together in round-robin turns; see the module docs. A
+/// lone cell is a group of one.
+#[derive(Default)]
+pub(crate) struct BatchSimulator<'p> {
+    cells: Vec<BatchCell<'p>>,
+}
+
+impl<'p> BatchSimulator<'p> {
+    /// Adds one cell. Every cell of a group runs the same run length
+    /// and mode.
+    pub(crate) fn add_cell(&mut self, sim: Simulator<'p>, schedule: Schedule, label: String) {
+        self.cells.push(BatchCell {
+            sim,
+            schedule,
+            label,
         });
     }
 
-    /// Cells added so far.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` when no cells have been added.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Wires a TAGE retire-share through every group of cells whose
-    /// conditional retirement streams are provably identical, so one
+    /// Wires a TAGE retire-share through every cell whose conditional
+    /// retirement stream is provably identical to the others', so one
     /// cell computes each table update and the rest replay the recorded
-    /// writes (see [`TageShare`]). Real statically-dispatched schemes
-    /// all discover direction mispredicts at retirement and flush, so
-    /// their surviving prediction-time history snapshots equal the
-    /// retired history — the share key `(pc, taken, hist)` is then a
-    /// pure function of the shared stream. Two kinds of cell stay out:
-    /// `Ideal` cells keep mispredicted bits in their speculative
-    /// history (no flush), so their keys diverge from the group's; and
-    /// dynamic-dispatch (`Other`) schemes hold a `&mut` to the cell's
-    /// TAGE through the front-end context, voiding the identical-state
-    /// induction. In sampled mode cells additionally group by run
-    /// lengths, whose warm/skip schedule shapes the retirement stream.
+    /// writes (see [`TageShare`]). Real schemes all discover direction
+    /// mispredicts at retirement and flush, so their surviving
+    /// prediction-time history snapshots equal the retired history —
+    /// the share key `(pc, taken, hist)` is then a pure function of the
+    /// shared stream. `Ideal` cells stay out: they keep mispredicted
+    /// bits in their speculative history (no flush), so their keys
+    /// diverge from the group's.
     fn setup_retire_share(&mut self) {
-        let mut by_len: Vec<((u64, u64), Vec<usize>)> = Vec::new();
-        for (i, cell) in self.cells.iter().enumerate() {
-            match cell.sim.state.scheme {
-                EngineScheme::Real(SchemeKind::Other(_)) | EngineScheme::Ideal => continue,
-                EngineScheme::Real(_) => {}
-            }
-            // Full-detail cells all retire every block from the stream
-            // start — run lengths only decide when they stop — so they
-            // form a single group.
-            let key = match self.sampling {
-                Some(_) => (cell.len.warmup, cell.len.measure),
-                None => (0, 0),
-            };
-            match by_len.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, idxs)) => idxs.push(i),
-                None => by_len.push((key, vec![i])),
-            }
+        let members: Vec<&mut BatchCell<'p>> = self
+            .cells
+            .iter_mut()
+            .filter(|c| !c.sim.state.is_ideal())
+            .collect();
+        if members.len() < 2 {
+            return;
         }
-        for (_, idxs) in by_len {
-            if idxs.len() < 2 {
-                continue;
-            }
-            let share = TageShare::new();
-            for &i in &idxs {
-                self.cells[i].sim.attach_tage_share(share.cursor());
-            }
+        let share = TageShare::new();
+        for cell in members {
+            cell.sim.attach_tage_share(share.cursor());
         }
     }
 
-    /// Runs every sampled cell's initial functional warm, sharing the
-    /// walk across same-warmup-length cells (see the module docs).
-    /// Groups advance in bounded per-round chunks so the shared window
-    /// stays pruned against cells warming solo or in other groups.
-    fn shared_warm(&mut self) {
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut solo: Vec<usize> = Vec::new();
-        let mut by_len: Vec<(u64, Vec<usize>)> = Vec::new();
-        for (i, cell) in self.cells.iter().enumerate() {
-            let Phase::InitWarm { remaining } = cell.phase else {
-                continue;
-            };
-            // Dynamic-dispatch schemes are opaque: their warm hook may
-            // write through the front-end context, which would leak
-            // into the leader's shared structures. They warm solo.
-            if matches!(
-                cell.sim.state.scheme,
-                EngineScheme::Real(SchemeKind::Other(_))
-            ) {
-                solo.push(i);
-                continue;
-            }
-            match by_len.iter_mut().find(|(len, _)| *len == remaining) {
-                Some((_, idxs)) => idxs.push(i),
-                None => by_len.push((remaining, vec![i])),
-            }
-        }
-        for (_, idxs) in by_len {
-            if idxs.len() >= 2 {
-                groups.push(idxs);
-            } else {
-                solo.extend(idxs);
-            }
-        }
-        loop {
-            let mut progressed = false;
-            for group in &groups {
-                progressed |= self.shared_warm_round(group);
-            }
-            for &i in &solo {
-                progressed |= self.solo_warm_round(i);
-            }
-            if !progressed {
-                return;
-            }
-        }
-    }
-
-    /// One bounded chunk of a group's shared warm. The leader pulls and
-    /// warms the blocks with every follower's scheme riding along; the
-    /// followers then seek their cursors past the same blocks. On
-    /// completion the leader's warmed structures are installed into
-    /// each follower and the whole group enters the interval loop.
-    /// Returns `true` while warming still has work left.
-    fn shared_warm_round(&mut self, group: &[usize]) -> bool {
-        let leader = group[0];
-        let Phase::InitWarm { remaining } = self.cells[leader].phase else {
+    /// One bounded chunk of the group's shared initial warm (see the
+    /// module docs). The leader pulls and warms the blocks with every
+    /// follower's scheme riding along; the followers then seek their
+    /// cursors past the same blocks. On completion the leader's warmed
+    /// structures are installed into each follower and the whole group
+    /// enters the interval loop. Returns `true` while warming still has
+    /// work left.
+    fn shared_warm_round(&mut self) -> bool {
+        let Some((leader, followers)) = self.cells.split_first_mut() else {
             return false;
         };
-        if remaining > 0 && !self.cells[leader].sim.state.stream_ended() {
+        let Phase::InitWarm { remaining } = leader.schedule.phase else {
+            return false;
+        };
+        if remaining > 0 && !leader.sim.state.stream_ended() {
             let chunk = remaining.min(ROUND_INSTRS);
-            let mut riders: Vec<EngineScheme> = group[1..]
-                .iter()
-                .map(|&i| {
-                    std::mem::replace(&mut self.cells[i].sim.state.scheme, EngineScheme::Ideal)
-                })
+            let mut riders: Vec<EngineScheme> = followers
+                .iter_mut()
+                .map(|c| std::mem::replace(&mut c.sim.state.scheme, EngineScheme::Ideal))
                 .collect();
-            let warmed = self.cells[leader]
-                .sim
-                .warm_functional_with(chunk, &mut riders);
-            for (&i, scheme) in group[1..].iter().zip(riders) {
-                self.cells[i].sim.state.scheme = scheme;
-                // Identical streams: the follower's skip lands on the
-                // exact block boundary the leader's warm stopped at.
-                self.cells[i].sim.skip_functional(warmed);
-            }
+            let warmed = leader.sim.warm_functional_with(chunk, &mut riders);
             // A leader in a retire-share group recorded its warm
             // retirements through its cursor; pull the followers' past
             // them each round so the share log prunes instead of
             // buffering the whole warm. (The followers never consume
             // warm deltas — the leader's warmed structures are
-            // installed wholesale below.)
-            if let Some(seq) = self.cells[leader].sim.tage_share_seq() {
-                for &i in &group[1..] {
-                    self.cells[i].sim.sync_tage_share(seq);
+            // installed wholesale at the end.)
+            let seq = leader.sim.tage_share_seq();
+            for (cell, scheme) in followers.iter_mut().zip(riders) {
+                cell.sim.state.scheme = scheme;
+                // Identical streams: the follower's skip lands on the
+                // exact block boundary the leader's warm stopped at.
+                cell.sim.skip_functional(warmed);
+                if let Some(seq) = seq {
+                    cell.sim.sync_tage_share(seq);
                 }
             }
             let left = remaining.saturating_sub(warmed);
-            for &i in group {
-                self.cells[i].phase = Phase::InitWarm { remaining: left };
-            }
-            true
-        } else {
-            let structures = self.cells[leader]
-                .sim
-                .capture_warm_structures()
-                .expect("batch cells own private, snapshottable memory systems");
-            let dry = self.cells[leader].sim.state.source_dry;
-            let seq = self.cells[leader].sim.tage_share_seq();
-            for (k, &i) in group.iter().enumerate() {
-                if k > 0 {
-                    self.cells[i].sim.install_warm_structures(&structures);
-                    self.cells[i].sim.state.source_dry = dry;
-                    // The installed TAGE already reflects the leader's
-                    // warm retirements: reposition the follower's share
-                    // cursor to match.
-                    if let Some(seq) = seq {
-                        self.cells[i].sim.sync_tage_share(seq);
-                    }
-                }
-                let end = self.cells[i]
-                    .sim
-                    .state
-                    .retired_total
-                    .saturating_add(self.cells[i].len.measure);
-                self.cells[i].phase = Phase::Intervals { end };
-            }
-            false
-        }
-    }
-
-    /// One bounded chunk of an ungrouped cell's initial warm — the
-    /// `Phase::InitWarm` arm of `BatchCell::advance`, run here so solo
-    /// cells keep pace with the shared groups and the window stays
-    /// bounded. Returns `true` while warming still has work left.
-    fn solo_warm_round(&mut self, i: usize) -> bool {
-        let cell = &mut self.cells[i];
-        let Phase::InitWarm { remaining } = cell.phase else {
-            return false;
-        };
-        if remaining == 0 || cell.sim.state.stream_ended() {
-            let end = cell
-                .sim
-                .state
-                .retired_total
-                .saturating_add(cell.len.measure);
-            cell.phase = Phase::Intervals { end };
-            false
-        } else {
-            let chunk = remaining.min(ROUND_INSTRS);
-            let warmed = cell.sim.warm_functional(chunk);
-            cell.phase = Phase::InitWarm {
-                remaining: remaining.saturating_sub(warmed),
-            };
-            true
-        }
-    }
-
-    /// Round-robin drive: every cell advances to the same retired-
-    /// instruction quota each round, so no cursor runs more than one
-    /// round (plus pipeline lookahead) ahead of the slowest.
-    fn drive(&mut self) {
-        // Escape hatch for A/B perf triage and bisecting: the share is
-        // bit-exact by construction, but being able to switch it off
-        // without a rebuild is how its win was measured in the first
-        // place.
-        // audit-allow(no-env-in-engine): A/B triage escape hatch — absent in normal runs, and the share is bit-exact either way, so the knob can never change a result
-        if std::env::var_os("SHOTGUN_NO_RETIRE_SHARE").is_none() {
-            self.setup_retire_share();
-        }
-        if self.sampling.is_some() {
-            self.shared_warm();
-        }
-        let mut quota = ROUND_INSTRS;
-        loop {
-            let mut all_done = true;
             for cell in &mut self.cells {
-                cell.advance(quota, self.sampling, &self.window);
-                all_done &= cell.done();
+                cell.schedule.phase = Phase::InitWarm { remaining: left };
             }
-            if all_done {
-                return;
+            true
+        } else {
+            let structures = leader.sim.capture_warm_structures();
+            let dry = leader.sim.state.source_dry;
+            let seq = leader.sim.tage_share_seq();
+            for cell in followers {
+                cell.sim.install_warm_structures(&structures);
+                cell.sim.state.source_dry = dry;
+                // The installed TAGE already reflects the leader's warm
+                // retirements: reposition the follower's share cursor.
+                if let Some(seq) = seq {
+                    cell.sim.sync_tage_share(seq);
+                }
             }
-            quota = quota.saturating_add(ROUND_INSTRS);
+            for cell in &mut self.cells {
+                cell.schedule.start_intervals(&cell.sim);
+            }
+            false
         }
     }
 
-    /// Runs every full-detail cell to completion; statistics in
-    /// insertion order.
+    /// Runs every cell to completion, advancing all of them to the same
+    /// retired-instruction quota each round so no cursor runs more than
+    /// one round (plus pipeline lookahead) ahead of the slowest.
+    /// Statistics come back in insertion order.
     ///
     /// # Panics
     ///
-    /// Panics if the batch was built with a sampling spec, or if the
-    /// shared source ran dry mid-run (a sweep cell measured over a
-    /// partial stream would be silently wrong — same loud check as
-    /// `run_scheme_replayed`).
-    pub fn run(mut self) -> Vec<SimStats> {
-        assert!(
-            self.sampling.is_none(),
-            "batch built with a sampling spec — use run_sampled"
-        );
-        self.drive();
+    /// Panics if `source` (named in the message) ran dry before a cell
+    /// completed: a cell measured over a partial stream would be
+    /// silently wrong.
+    pub(crate) fn run(mut self, source: &str) -> Vec<CellStats> {
+        if self.cells.len() >= 2 {
+            self.setup_retire_share();
+            while self.shared_warm_round() {}
+        }
+        let mut quota = 0u64;
+        while self.cells.iter().any(|c| !c.schedule.done()) {
+            quota = quota.saturating_add(ROUND_INSTRS);
+            for cell in &mut self.cells {
+                cell.schedule.advance(&mut cell.sim, quota);
+            }
+        }
         self.cells
             .into_iter()
             .map(|c| {
                 assert!(
-                    !c.truncated,
-                    "batch cell `{}` ran dry mid-run — record at least \
+                    !c.sim.source_exhausted(),
+                    "{source} ran dry mid-run of `{}` — record at least \
                      RunLength::trace_instrs instructions",
                     c.label,
                 );
-                c.stats.expect("driven cell must finish")
+                c.schedule.into_stats()
             })
             .collect()
     }
-
-    /// Runs every sampled cell to completion; per-cell interval
-    /// statistics in insertion order (truncation reported per cell,
-    /// exactly as the serial sampled run does).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch was built without a sampling spec.
-    pub fn run_sampled(mut self) -> Vec<SampledStats> {
-        assert!(
-            self.sampling.is_some(),
-            "batch built without a sampling spec — use run"
-        );
-        self.drive();
-        self.cells
-            .into_iter()
-            .map(|c| SampledStats {
-                intervals: c.intervals,
-                truncated: c.truncated,
-            })
-            .collect()
-    }
-}
-
-/// Runs one workload's scheme group in one shared-decode pass — the
-/// batch counterpart of N calls to
-/// [`run_scheme_replayed`](crate::run_scheme_replayed), byte-identical
-/// per cell. Results are in `specs` order.
-///
-/// # Panics
-///
-/// Panics if `trace` was not recorded against `program` with `seed`,
-/// or ran dry before every cell completed.
-pub fn run_schemes_batch_replayed(
-    program: &Program,
-    trace: &Trace,
-    specs: &[SchemeSpec],
-    machine: &MachineConfig,
-    len: RunLength,
-    seed: u64,
-) -> Vec<SimStats> {
-    assert_trace_matches(trace, program, seed);
-    let mut batch = BatchSimulator::new(program, machine.clone(), trace.replayer(), seed, None);
-    for spec in specs {
-        batch.add_cell(spec, len);
-    }
-    batch.run()
-}
-
-/// Sampled-mode [`run_schemes_batch_replayed`]: the batch counterpart
-/// of N calls to
-/// [`run_scheme_sampled_replayed`](crate::run_scheme_sampled_replayed),
-/// byte-identical per cell — the cells share the one decode pass, and
-/// their functional-warming phases advance together in the same
-/// bounded rounds as the timed windows.
-///
-/// # Panics
-///
-/// Panics if `trace` was not recorded against `program` with `seed`,
-/// or ran dry before every cell completed.
-pub fn run_schemes_batch_sampled_replayed(
-    program: &Program,
-    trace: &Trace,
-    specs: &[SchemeSpec],
-    machine: &MachineConfig,
-    len: RunLength,
-    sampling: SamplingSpec,
-    seed: u64,
-) -> Vec<SampledStats> {
-    assert_trace_matches(trace, program, seed);
-    let mut batch = BatchSimulator::new(
-        program,
-        machine.clone(),
-        trace.replayer(),
-        seed,
-        Some(sampling),
-    );
-    for spec in specs {
-        batch.add_cell(spec, len);
-    }
-    let results = batch.run_sampled();
-    for (spec, stats) in specs.iter().zip(&results) {
-        assert!(
-            !stats.truncated,
-            "trace `{}` ran dry mid-sampled-run of `{}` — record at least \
-             RunLength::trace_instrs instructions",
-            trace.header().name,
-            spec.label(),
-        );
-    }
-    results
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_scheme_replayed, run_scheme_sampled_replayed};
+    use crate::runner::{run_cells, CellRun, CellSource, SchemeSpec};
     use fe_cfg::workloads;
+    use fe_model::MachineConfig;
+    use fe_trace::Trace;
 
     const SEED: u64 = 0x5407;
 
@@ -923,18 +667,27 @@ mod tests {
         };
         let machine = MachineConfig::table3();
         let trace = Trace::record(&program, SEED, len.trace_instrs(&machine));
+        let source = CellSource::Trace(&trace);
         let specs = [
             SchemeSpec::NoPrefetch,
             SchemeSpec::boomerang(),
             SchemeSpec::shotgun(),
         ];
-        let batch = run_schemes_batch_replayed(&program, &trace, &specs, &machine, len, SEED);
+        let run = CellRun::full(len);
+        let batch = run_cells(&program, source, &specs, &machine, run, SEED);
         for (spec, got) in specs.iter().zip(&batch) {
-            let serial = run_scheme_replayed(&program, &trace, spec, &machine, len, SEED);
+            let lone = run_cells(
+                &program,
+                source,
+                std::slice::from_ref(spec),
+                &machine,
+                run,
+                SEED,
+            );
             assert_eq!(
                 got,
-                &serial,
-                "batch diverged from serial for {}",
+                &lone[0],
+                "batch diverged from a lone cell for {}",
                 spec.label()
             );
         }
@@ -949,11 +702,15 @@ mod tests {
         };
         let machine = MachineConfig::table3();
         let trace = Trace::record(&program, SEED, len.trace_instrs(&machine));
-        let spec = SamplingSpec {
-            interval: 40_000,
-            detail: 8_000,
-            warmup: 10_000,
-        };
+        let source = CellSource::Trace(&trace);
+        let run = CellRun::sampled(
+            len,
+            SamplingSpec {
+                interval: 40_000,
+                detail: 8_000,
+                warmup: 10_000,
+            },
+        );
         // One cell per scheme family: every follower kind rides the
         // shared initial warm, and the Ideal cell exercises the
         // scheme-less rider slot.
@@ -964,58 +721,23 @@ mod tests {
             SchemeSpec::shotgun(),
             SchemeSpec::Ideal,
         ];
-        let batch = run_schemes_batch_sampled_replayed(
-            &program, &trace, &schemes, &machine, len, spec, SEED,
-        );
+        let batch = run_cells(&program, source, &schemes, &machine, run, SEED);
         for (scheme, got) in schemes.iter().zip(&batch) {
-            let serial =
-                run_scheme_sampled_replayed(&program, &trace, scheme, &machine, len, spec, SEED);
+            let lone = run_cells(
+                &program,
+                source,
+                std::slice::from_ref(scheme),
+                &machine,
+                run,
+                SEED,
+            );
             assert_eq!(
-                got.intervals,
-                serial.intervals,
-                "sampled batch diverged from serial for {}",
+                got,
+                &lone[0],
+                "sampled batch diverged from a lone cell for {}",
                 scheme.label()
             );
-            assert_eq!(got.truncated, serial.truncated);
         }
-    }
-
-    #[test]
-    fn heterogeneous_run_lengths_release_short_cells_early() {
-        let program = workloads::db2().scaled(0.2).build();
-        let long = RunLength {
-            warmup: 30_000,
-            measure: 90_000,
-        };
-        let short = RunLength {
-            warmup: 10_000,
-            measure: 20_000,
-        };
-        let machine = MachineConfig::table3();
-        let trace = Trace::record(&program, SEED, long.trace_instrs(&machine));
-        let mut batch =
-            BatchSimulator::new(&program, machine.clone(), trace.replayer(), SEED, None);
-        batch.add_cell(&SchemeSpec::shotgun(), long);
-        batch.add_cell(&SchemeSpec::NoPrefetch, short);
-        let stats = batch.run();
-        let serial_long = run_scheme_replayed(
-            &program,
-            &trace,
-            &SchemeSpec::shotgun(),
-            &machine,
-            long,
-            SEED,
-        );
-        let serial_short = run_scheme_replayed(
-            &program,
-            &trace,
-            &SchemeSpec::NoPrefetch,
-            &machine,
-            short,
-            SEED,
-        );
-        assert_eq!(stats[0], serial_long);
-        assert_eq!(stats[1], serial_short);
     }
 
     #[test]
@@ -1028,7 +750,14 @@ mod tests {
         };
         let trace = Trace::record(&program, SEED, 50_000);
         let machine = MachineConfig::table3();
-        let specs = [SchemeSpec::NoPrefetch];
-        run_schemes_batch_replayed(&program, &trace, &specs, &machine, len, SEED);
+        let specs = [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()];
+        run_cells(
+            &program,
+            CellSource::Trace(&trace),
+            &specs,
+            &machine,
+            CellRun::full(len),
+            SEED,
+        );
     }
 }

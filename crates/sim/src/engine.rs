@@ -9,9 +9,11 @@ use fe_model::{MachineConfig, SimStats};
 use fe_uarch::scheme::ControlFlowDelivery;
 use fe_uarch::{MemStats, MemorySystem};
 
+use crate::batch::Schedule;
 use crate::pipeline::{
     backend::Backend, bpu::Bpu, fetch::FetchUnit, stall, PipelineState, SUPPLY_CAP,
 };
+use crate::runner::RunLength;
 use crate::source::SourceKind;
 
 pub use crate::pipeline::{EngineScheme, SchemeKind};
@@ -25,6 +27,9 @@ pub struct Simulator<'p> {
     bpu: Bpu,
     fetch: FetchUnit,
     pub(crate) backend: Backend,
+    /// Quiescent-span skipping is armed (a batch acceleration; see
+    /// [`Self::enable_batch_accel`]).
+    skip_quiet: bool,
     // Measurement bases (captured when measurement starts).
     base_cycle: u64,
     base_scheme_misses: u64,
@@ -71,11 +76,9 @@ impl<'p> Simulator<'p> {
     /// Builds a simulator whose retired stream comes from any
     /// [`SourceKind`] — the record/replay seam. A live run passes the
     /// `fe-cfg` executor (what [`Self::with_memory`] does for you); a
-    /// trace-driven run passes an `fe-trace` replayer over a stream
-    /// previously recorded with the same `program` and `seed`, and
-    /// produces bit-identical statistics to the live run. Anything
-    /// else implements [`BlockSource`](fe_model::BlockSource) and rides
-    /// in boxed as [`SourceKind::Other`].
+    /// trace-driven run passes an `fe-trace` replayer (or a v2 store's)
+    /// over a stream previously recorded with the same `program` and
+    /// `seed`, and produces bit-identical statistics to the live run.
     ///
     /// `seed` still seeds the backend's load RNG (the data side is not
     /// part of the control-flow trace), so replay must pass the seed
@@ -97,6 +100,7 @@ impl<'p> Simulator<'p> {
             bpu: Bpu,
             fetch: FetchUnit,
             backend: Backend::new(seed),
+            skip_quiet: false,
             base_cycle: 0,
             base_scheme_misses: 0,
             base_scheme_lookups: 0,
@@ -104,23 +108,17 @@ impl<'p> Simulator<'p> {
     }
 
     /// Runs `warmup` instructions untimed-for-stats, then measures
-    /// `measure` instructions and returns their statistics.
+    /// `measure` instructions and returns their statistics — the
+    /// full-detail schedule of the [`batch`](crate::batch) driver, run
+    /// to completion on this one pipeline.
     ///
     /// A finite source (a trace) that runs out of records before the
     /// run completes ends the run early with the statistics measured so
     /// far — check [`Self::source_exhausted`] — rather than panicking.
     pub fn run(&mut self, warmup: u64, measure: u64) -> SimStats {
-        while self.state.retired_total < warmup && !self.state.stream_ended() {
-            self.cycle();
-        }
-        self.begin_measurement();
-        // Measure relative to the actual measurement start (warmup may
-        // overshoot by a partial retire-width).
-        let end = self.state.retired_total + measure;
-        while self.state.retired_total < end && !self.state.stream_ended() {
-            self.cycle();
-        }
-        self.finalize()
+        let mut schedule = Schedule::new(RunLength { warmup, measure }, None);
+        schedule.advance(self, u64::MAX);
+        schedule.into_stats().stats
     }
 
     /// One simulated cycle: tick the stages front to back, then account
@@ -138,13 +136,26 @@ impl<'p> Simulator<'p> {
         s.now += 1;
     }
 
+    /// Steps until `until` instructions have retired or the stream has
+    /// ended. A step is a bulk-skipped quiescent span when the batch
+    /// accelerations are armed and one starts here, otherwise one
+    /// [`Self::cycle`].
+    pub(crate) fn step_until(&mut self, until: u64) {
+        while self.state.retired_total < until && !self.state.stream_ended() {
+            if !self.skip_quiet || self.try_skip_quiet_span() == 0 {
+                self.cycle();
+            }
+        }
+    }
+
     /// Arms the batch-path accelerations on this cell: the TAGE fold
     /// scratch (incrementally-maintained folded histories — bit-
-    /// identical predictions, O(1) per history push). The serial path
-    /// never calls this, staying the byte-for-byte reference the batch
-    /// engine is checked against.
+    /// identical predictions, O(1) per history push) and quiescent-span
+    /// skipping. Lone cells never call this, staying the byte-for-byte
+    /// reference the batch engine is checked against.
     pub(crate) fn enable_batch_accel(&mut self) {
         self.state.tage.enable_fold_scratch();
+        self.skip_quiet = true;
     }
 
     /// Joins this cell to a batch retire-share group (see
@@ -185,7 +196,7 @@ impl<'p> Simulator<'p> {
     /// returns 0 when the current cycle is not provably quiescent, in
     /// which case the caller runs a normal [`Self::cycle`].
     /// Bit-identical to ticking the span cycle by cycle.
-    pub(crate) fn try_skip_quiet_span(&mut self) -> u64 {
+    fn try_skip_quiet_span(&mut self) -> u64 {
         if self.state.source_dry {
             return 0;
         }
@@ -226,7 +237,7 @@ impl<'p> Simulator<'p> {
                 return 0;
             }
             if s.inflight.contains(w) {
-                // The serial fetch unit re-merges the demand every
+                // The fetch unit ticked cycle by cycle re-merges the demand every
                 // waiting cycle; merging is idempotent, so once covers
                 // the whole span.
                 s.inflight.merge_demand(w);
@@ -245,7 +256,7 @@ impl<'p> Simulator<'p> {
             return 0;
         }
         // The backend consults the oracle head every cycle of the span;
-        // if the source is about to run dry, the serial path discovers
+        // if the source is about to run dry, cycle-by-cycle ticking discovers
         // that mid-span — so only skip with the head already in hand.
         if !s.fill_oracle_to(0) {
             return 0;
@@ -264,7 +275,7 @@ impl<'p> Simulator<'p> {
     /// the BPU; fetch at the supply cap or parked on an
     /// already-requested L1-I miss), the span's only per-cycle effect
     /// is the backend-stall charge. Batching that accounting into one
-    /// addition is what makes skipping pay: the serial path's per-cycle
+    /// addition is what makes skipping pay: cycle-by-cycle ticking's per-cycle
     /// early returns are individually cheap, but ~12% of all cycles
     /// sit in these windows.
     fn try_skip_data_stall_span(&mut self) -> u64 {
@@ -291,7 +302,7 @@ impl<'p> Simulator<'p> {
         };
         // Fetch inert: at the supply cap it early-outs before touching
         // the FTQ or the miss machinery; otherwise it must be parked on
-        // a miss that is already outstanding (the serial unit re-merges
+        // a miss that is already outstanding (the fetch unit re-merges
         // the demand every waiting cycle — idempotent, so once covers
         // the whole span). Anything else could mutate state mid-span.
         if s.supply.instrs() < SUPPLY_CAP {

@@ -48,22 +48,22 @@ use shotgun::{RegionPolicy, ShotgunConfig};
 use crate::cache::{CellKey, CellStore, CellValue};
 use crate::json::{parse, Json};
 use crate::multi::MultiSimulator;
-use crate::runner::{
-    run_scheme_replayed, run_scheme_sampled_replayed_snapshot, RunLength, SchemeSpec,
-};
+use crate::runner::{run_cells, CellRun, CellSource, RunLength, SchemeSpec};
 use crate::sampling::{CellSampling, MeanCi, SamplingSpec};
 use crate::snapshot::SnapshotStore;
 
-/// Process-wide count of sweep cells actually *simulated* (cache hits
-/// do not count; a consolidation mix counts one per member cell).
-/// Probe for tests asserting zero-recompute resume behavior;
-/// meaningful only when the probing test runs in its own process.
-static CELLS_EXECUTED: AtomicU64 = AtomicU64::new(0);
-
-/// Sweep cells simulated so far in this process (tests).
-#[doc(hidden)]
-pub fn cells_executed() -> u64 {
-    CELLS_EXECUTED.load(Ordering::Relaxed)
+/// What one sweep run did, counted for that run alone — diagnostics
+/// beside its [`SweepReport`], never part of the report's bytes (see
+/// [`SweepReport::counters`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunCounters {
+    /// Cells simulated (a consolidation mix counts one per member cell).
+    pub cells_computed: u64,
+    /// Cells served from the configured [`CellStore`].
+    pub cells_cached: u64,
+    /// Executor walks started: trace recordings, probes of recordings
+    /// found on disk, and consolidation-mix contexts.
+    pub executor_walks: u64,
 }
 
 /// A sweep stopped by its cancel flag before every cell completed (see
@@ -138,7 +138,7 @@ pub struct ProgressEvent {
     pub cached: bool,
     /// When the cell ran on the [batch engine](crate::batch), the id of
     /// its batch group (cells sharing one decode pass share the id);
-    /// `None` for serial, cached, and mix cells. Additive: streaming
+    /// `None` for lone, cached, and mix cells. Additive: streaming
     /// clients that predate it see the field as simply absent.
     pub batch_id: Option<u64>,
 }
@@ -328,10 +328,11 @@ impl Experiment {
     }
 
     /// Enables or disables the [batch engine](crate::batch) (default:
-    /// enabled). When enabled, a workload's uncached scheme cells run
-    /// as one shared-decode batch — statistics stay byte-identical
-    /// either way, so this knob exists for the perf harness's
-    /// batch-vs-serial comparison and as an escape hatch.
+    /// enabled). When enabled, a workload's uncached scheme cells go to
+    /// [`run_cells`] together, which batches them over one shared
+    /// decode; when disabled, they go one at a time, each running
+    /// alone. Statistics stay byte-identical either way, so this knob
+    /// exists for batch-vs-lone comparisons and as an escape hatch.
     pub fn batch(mut self, enabled: bool) -> Self {
         self.batch = enabled;
         self
@@ -532,6 +533,7 @@ impl Experiment {
         // the pipeline's bounded lookahead, so no scheme can outrun it.
         // A workload whose every cell came out of the cache skips the
         // walk and the recording entirely.
+        let walks = AtomicU64::new(0);
         let needed_instrs = len.trace_instrs(&machine);
         let traces: Vec<Option<Trace>> = parallel_indexed(workloads.len(), threads, |wi| {
             let all_cached =
@@ -544,11 +546,14 @@ impl Experiment {
                     seed,
                     needed_instrs,
                     trace_dir.as_deref(),
+                    &walks,
                 ))
             }
         });
 
         let completed = AtomicUsize::new(0);
+        let computed = AtomicU64::new(0);
+        let served = AtomicU64::new(0);
         // Each job yields the stats of its cells (one per scheme for a
         // single workload, one per member for a mix), plus the sampling
         // summary when the sweep runs sampled. `None` slots are jobs a
@@ -567,7 +572,7 @@ impl Experiment {
             }
         };
         let store_cell = |cell_idx: usize, cell: &CellResult| {
-            CELLS_EXECUTED.fetch_add(1, Ordering::Relaxed);
+            computed.fetch_add(1, Ordering::Relaxed);
             if let (Some(store), Some(key)) = (&cell_store, &keys[cell_idx]) {
                 store.put(
                     key,
@@ -577,6 +582,11 @@ impl Experiment {
                     },
                 );
             }
+        };
+        let run = CellRun {
+            len,
+            sampling,
+            snapshots: snapshots.as_deref(),
         };
         let results: Vec<Option<Vec<CellResult>>> =
             parallel_indexed_cancellable(jobs, threads, cancel.as_deref(), |job| {
@@ -593,7 +603,8 @@ impl Experiment {
                         .into_iter()
                         .map(|c| (c.stats, None))
                         .collect();
-                    CELLS_EXECUTED.fetch_add(stats.len() as u64, Ordering::Relaxed);
+                    walks.fetch_add(stats.len() as u64, Ordering::Relaxed);
+                    computed.fetch_add(stats.len() as u64, Ordering::Relaxed);
                     emit(&mixes[mi].name, si, false, None);
                     return stats;
                 }
@@ -606,94 +617,30 @@ impl Experiment {
                     match &cached[mix_jobs + wi * n_schemes + si] {
                         Some(value) => {
                             cells[si] = Some((value.stats.clone(), value.sampling.clone()));
+                            served.fetch_add(1, Ordering::Relaxed);
                             emit(name, si, true, None);
                         }
                         None => uncached.push(si),
                     }
                 }
-                // Batch the uncached cells when sharing a decode pays
-                // (two or more) and nothing forces the serial path: a
-                // snapshot store under sampling restores per-cell warm
-                // state the shared cursor cannot represent.
-                let use_batch =
-                    batch && uncached.len() >= 2 && !(sampling.is_some() && snapshots.is_some());
-                let trace = |uncached: &[usize]| {
-                    if uncached.is_empty() {
-                        None
-                    } else {
-                        Some(
-                            traces[wi]
-                                .as_ref()
-                                .expect("trace recorded for every workload with uncached cells"),
-                        )
-                    }
-                };
-                if use_batch {
-                    let trace = trace(&uncached).expect("uncached cells imply a trace");
+                // With the batch engine on, the uncached cells go to
+                // `run_cells` together, which batches them when sharing
+                // a decode pays; with it off, one at a time.
+                let width = if batch { uncached.len().max(1) } else { 1 };
+                for group in uncached.chunks(width) {
+                    let trace = traces[wi]
+                        .as_ref()
+                        .expect("trace recorded for every workload with uncached cells");
                     let specs: Vec<SchemeSpec> =
-                        uncached.iter().map(|&si| schemes[si].clone()).collect();
-                    let batch_results: Vec<CellResult> = match sampling {
-                        Some(spec) => crate::batch::run_schemes_batch_sampled_replayed(
-                            &programs[wi],
-                            trace,
-                            &specs,
-                            &machine,
-                            len,
-                            spec,
-                            seed,
-                        )
-                        .into_iter()
-                        .map(|sampled| (sampled.aggregate(), Some(CellSampling::of(&sampled))))
-                        .collect(),
-                        None => crate::batch::run_schemes_batch_replayed(
-                            &programs[wi],
-                            trace,
-                            &specs,
-                            &machine,
-                            len,
-                            seed,
-                        )
-                        .into_iter()
-                        .map(|stats| (stats, None))
-                        .collect(),
-                    };
-                    for (&si, cell) in uncached.iter().zip(batch_results) {
+                        group.iter().map(|&si| schemes[si].clone()).collect();
+                    let source = CellSource::Trace(trace);
+                    let stats = run_cells(&programs[wi], source, &specs, &machine, run, seed);
+                    let batch_id = run.batches(specs.len()).then_some(job as u64);
+                    for (&si, cell) in group.iter().zip(stats) {
+                        let cell = (cell.stats, cell.sampled.as_ref().map(CellSampling::of));
                         store_cell(mix_jobs + wi * n_schemes + si, &cell);
                         cells[si] = Some(cell);
-                        emit(name, si, false, Some(job as u64));
-                    }
-                } else {
-                    for &si in &uncached {
-                        let trace = trace(&uncached).expect("uncached cells imply a trace");
-                        let cell = match sampling {
-                            Some(spec) => {
-                                let sampled = run_scheme_sampled_replayed_snapshot(
-                                    &programs[wi],
-                                    trace,
-                                    &schemes[si],
-                                    &machine,
-                                    len,
-                                    spec,
-                                    seed,
-                                    snapshots.as_deref(),
-                                );
-                                (sampled.aggregate(), Some(CellSampling::of(&sampled)))
-                            }
-                            None => {
-                                let stats = run_scheme_replayed(
-                                    &programs[wi],
-                                    trace,
-                                    &schemes[si],
-                                    &machine,
-                                    len,
-                                    seed,
-                                );
-                                (stats, None)
-                            }
-                        };
-                        store_cell(mix_jobs + wi * n_schemes + si, &cell);
-                        cells[si] = Some(cell);
-                        emit(name, si, false, None);
+                        emit(name, si, false, batch_id);
                     }
                 }
                 cells
@@ -769,6 +716,11 @@ impl Experiment {
             workloads: workload_ids,
             schemes,
             cells,
+            counters: RunCounters {
+                cells_computed: computed.into_inner(),
+                cells_cached: served.into_inner(),
+                executor_walks: walks.into_inner(),
+            },
         })
     }
 }
@@ -789,16 +741,22 @@ fn obtain_trace(
     seed: u64,
     needed_instrs: u64,
     dir: Option<&std::path::Path>,
+    walks: &AtomicU64,
 ) -> Trace {
+    let usable = |trace: &Trace| {
+        trace.header().seed == seed
+            && trace.header().instr_count >= needed_instrs
+            && trace.matches(program)
+            && {
+                walks.fetch_add(1, Ordering::Relaxed);
+                cached_trace_matches_live(trace, program, seed)
+            }
+    };
     let store_path = dir.map(|d| d.join(format!("{}-{seed:016x}.fets", program.name())));
     if let Some(path) = &store_path {
         if let Ok(store) = fe_trace::TraceStore::read_from(path) {
             let trace = store.to_trace();
-            if trace.header().seed == seed
-                && trace.header().instr_count >= needed_instrs
-                && trace.matches(program)
-                && cached_trace_matches_live(&trace, program, seed)
-            {
+            if usable(&trace) {
                 return trace;
             }
         }
@@ -806,15 +764,12 @@ fn obtain_trace(
     let path = dir.map(|d| d.join(format!("{}-{seed:016x}.fetr", program.name())));
     if let Some(path) = &path {
         if let Ok(trace) = Trace::read_from(path) {
-            if trace.header().seed == seed
-                && trace.header().instr_count >= needed_instrs
-                && trace.matches(program)
-                && cached_trace_matches_live(&trace, program, seed)
-            {
+            if usable(&trace) {
                 return trace;
             }
         }
     }
+    walks.fetch_add(1, Ordering::Relaxed);
     let trace = Trace::record(program, seed, needed_instrs);
     if let Some(path) = &path {
         let write = || -> Result<(), fe_trace::TraceError> {
@@ -950,7 +905,7 @@ pub struct SweepCell {
 
 /// A completed sweep: every cell, keyed by `(WorkloadId, SchemeSpec)`,
 /// plus the run parameters that produced it.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct SweepReport {
     /// Warmup/measure lengths every cell used.
     pub len: RunLength,
@@ -966,9 +921,31 @@ pub struct SweepReport {
     pub schemes: Vec<SchemeSpec>,
     /// Cells in (workload-major, scheme-minor) order.
     pub cells: Vec<SweepCell>,
+    pub(crate) counters: RunCounters,
+}
+
+/// Equality covers what [`SweepReport::to_json`] serializes: the run's
+/// diagnostic counters are not part of a report's identity.
+impl PartialEq for SweepReport {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len
+            && self.seed == other.seed
+            && self.baseline == other.baseline
+            && self.sampling == other.sampling
+            && self.workloads == other.workloads
+            && self.schemes == other.schemes
+            && self.cells == other.cells
+    }
 }
 
 impl SweepReport {
+    /// What the run that produced this report did (all zero for a
+    /// report parsed from JSON). Not serialized: reports of the same
+    /// sweep stay byte-identical however much of it was cached.
+    pub fn counters(&self) -> RunCounters {
+        self.counters
+    }
+
     /// Looks up a cell by its typed key. Panics (with the key) when
     /// the sweep has no such cell.
     pub fn cell(&self, workload: &str, scheme: &SchemeSpec) -> &SweepCell {
@@ -1110,6 +1087,7 @@ impl SweepReport {
             workloads,
             schemes,
             cells,
+            counters: RunCounters::default(),
         })
     }
 }
@@ -1419,6 +1397,7 @@ mod tests {
             workloads: vec![WorkloadId("wl".into())],
             schemes,
             cells,
+            counters: Default::default(),
         }
     }
 

@@ -15,10 +15,10 @@
 //! `fe-trace` recording) and replayed into every scheme cell, bit-
 //! identical to live execution. For paper-scale instruction counts,
 //! [`Experiment::sampling`] switches cells to interval sampling with
-//! functional warming (see the [`sampling`] module). The one-cell
-//! [`run_scheme`] (live), [`run_scheme_replayed`] (trace-driven) and
-//! [`run_scheme_sampled`]/[`run_scheme_sampled_replayed`] wrappers
-//! remain for single measurements.
+//! functional warming (see the [`sampling`] module). Every cell, in a
+//! sweep or on its own, runs through [`run_cells`]: one entry point
+//! over a live walk, a recording or an ingested store, full detail or
+//! sampled, alone or as a shared-decode batch.
 //!
 //! ```no_run
 //! use fe_cfg::workloads;
@@ -48,23 +48,17 @@ pub mod sampling;
 pub mod snapshot;
 pub mod source;
 
-pub use batch::{
-    run_schemes_batch_replayed, run_schemes_batch_sampled_replayed, BatchSimulator, SharedCursor,
-    SharedWindow,
-};
+pub use batch::{SharedCursor, SharedWindow};
 pub use cache::{config_hash, CellKey, CellStore, CellValue, MemoryCellStore, ENGINE_VERSION};
 pub use engine::{EngineScheme, SchemeKind, Simulator};
 pub use experiment::{
-    cells_executed, scheme_from_json, scheme_to_json, CellMetrics, Experiment, Interrupted,
-    ProgressEvent, SweepCell, SweepReport, WorkloadId,
+    scheme_from_json, scheme_to_json, CellMetrics, Experiment, Interrupted, ProgressEvent,
+    RunCounters, SweepCell, SweepReport, WorkloadId,
 };
 pub use fe_trace::ProgramFingerprint;
 pub use multi::{derive_ctx_seed, ContextStats, MultiSimulator, MultiStats};
 pub use report::{render_table, Series};
-pub use runner::{
-    run_scheme, run_scheme_replayed, run_scheme_sampled, run_scheme_sampled_replayed,
-    run_scheme_sampled_replayed_snapshot, run_scheme_store_replayed, RunLength, SchemeSpec,
-};
+pub use runner::{run_cells, CellRun, CellSource, CellStats, RunLength, SchemeSpec};
 pub use sampling::{CellSampling, MeanCi, SampledStats, SamplingSpec};
 pub use snapshot::{SnapshotKey, SnapshotStore, WarmSnapshot};
 pub use source::SourceKind;

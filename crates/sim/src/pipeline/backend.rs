@@ -277,7 +277,7 @@ impl Backend {
     /// Bulk accounting for a quiescent span `[s.now, until)` the batch
     /// engine fast-forwards over (see `Simulator::try_skip_quiet_span`):
     /// zero-retire cycles whose only per-cycle state change is the stall
-    /// charge itself. Reproduces the serial per-cycle classification
+    /// charge itself. Reproduces the cycle-by-cycle classification
     /// exactly: with `retired_total` frozen, a data miss's ROB-shadow
     /// age is frozen too, so the front miss blocks either until its
     /// fill (`Backend` cycles, charged to `backend_stall_cycles` as the

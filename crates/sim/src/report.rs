@@ -183,6 +183,7 @@ mod tests {
             workloads: vec![WorkloadId("a".into()), WorkloadId("b".into())],
             schemes,
             cells,
+            counters: Default::default(),
         }
     }
 

@@ -1,19 +1,22 @@
-//! Scheme specifications, run-length control, and the one-cell
-//! `run_scheme` / `run_scheme_replayed` conveniences the `Experiment`
-//! sweep API builds on.
+//! Scheme specifications, run-length control, and [`run_cells`] — the
+//! one entry point that runs (scheme) cells over a program, alone or
+//! as a shared-decode batch, which the `Experiment` sweep API builds
+//! on.
 
-use fe_cfg::Program;
+use fe_cfg::{Executor, Program};
 use fe_model::{MachineConfig, SimStats};
-use fe_trace::{Trace, TraceStore};
+use fe_trace::{ProgramFingerprint, Trace, TraceHeader, TraceStore};
 use fe_uarch::MemorySystem;
 use shotgun::{RegionPolicy, ShotgunConfig, ShotgunPrefetcher};
 
 use fe_baselines::{Boomerang, Confluence, ConfluenceConfig, Fdip, NoPrefetch};
 
+use crate::batch::{BatchSimulator, Schedule, SharedWindow};
 use crate::engine::{EngineScheme, Simulator};
 use crate::pipeline::{BPU_BLOCKS_PER_CYCLE, FETCH_LINES_PER_CYCLE, SUPPLY_CAP};
 use crate::sampling::{SampledStats, SamplingSpec};
 use crate::snapshot::{SnapshotKey, SnapshotStore};
+use crate::source::SourceKind;
 
 /// A control-flow-delivery scheme to evaluate.
 #[derive(Clone, Debug, PartialEq)]
@@ -87,35 +90,6 @@ impl SchemeSpec {
                 label
             }
         }
-    }
-
-    /// Instantiates the scheme behind the dynamic-dispatch extension
-    /// seam ([`SchemeKind::Other`](crate::SchemeKind::Other)) instead
-    /// of its devirtualized enum variant. Semantically identical to
-    /// [`Self::build`] — this is the reference path the engine
-    /// regression tests pin the monomorphized tick loop against.
-    pub fn build_dyn(&self, machine: &MachineConfig) -> EngineScheme {
-        use fe_uarch::scheme::ControlFlowDelivery;
-        let ways = machine.front_end.btb_ways as usize;
-        let boxed: Box<dyn ControlFlowDelivery> = match self {
-            SchemeSpec::NoPrefetch => Box::new(NoPrefetch::new(
-                machine.front_end.btb_entries as usize,
-                ways,
-            )),
-            SchemeSpec::Fdip => Box::new(Fdip::new(machine.front_end.btb_entries as usize, ways)),
-            SchemeSpec::Boomerang { btb_entries } => Box::new(Boomerang::new(
-                *btb_entries as usize,
-                ways,
-                machine.front_end.btb_prefetch_buffer as usize,
-            )),
-            SchemeSpec::Confluence => Box::new(Confluence::new(ConfluenceConfig::default())),
-            SchemeSpec::Ideal => return EngineScheme::Ideal,
-            SchemeSpec::Shotgun(cfg) => Box::new(ShotgunPrefetcher::new(
-                *cfg,
-                machine.front_end.ras_entries as usize,
-            )),
-        };
-        EngineScheme::real(boxed)
     }
 
     /// Instantiates the scheme for a machine configuration.
@@ -232,241 +206,209 @@ impl RunLength {
     }
 }
 
-/// Runs one scheme over one program — the one-cell convenience wrapper
-/// around the simulator. Multi-cell sweeps should use
-/// [`Experiment`](crate::Experiment), which parallelizes and derives
-/// metrics.
-pub fn run_scheme(
-    program: &Program,
-    spec: &SchemeSpec,
-    machine: &MachineConfig,
-    len: RunLength,
-    seed: u64,
-) -> SimStats {
-    let scheme = spec.build(machine);
-    let mut sim = Simulator::new(program, machine.clone(), scheme, seed);
-    sim.run(len.warmup, len.measure)
+/// Where a cell's retired control-flow stream comes from.
+#[derive(Clone, Copy)]
+pub enum CellSource<'a> {
+    /// A live executor walk over the program.
+    Live,
+    /// Replay of a flat `fe-trace` recording.
+    Trace(&'a Trace),
+    /// Replay of a chunk-compressed v2 [`TraceStore`]: the same stream
+    /// as [`CellSource::Trace`] over the same recording, but skips seek
+    /// through the chunk index instead of decoding every record.
+    Store(&'a TraceStore),
 }
 
-/// Runs one scheme over one program with the retired stream replayed
-/// from `trace` instead of walked live — bit-identical statistics to
-/// [`run_scheme`] when the trace was recorded from the same
-/// `(program, seed)` and holds at least
-/// [`RunLength::trace_instrs`] instructions.
-///
-/// # Panics
-///
-/// Panics if `trace` was not recorded against `program` with `seed`
-/// (replaying a mismatched stream would silently produce wrong
-/// timing), or if the trace ran dry before the run completed (the
-/// pipeline itself degrades a truncated source into a reported stall,
-/// but a sweep cell measured over a partial stream would be silently
-/// wrong, so this wrapper re-checks loudly).
-pub fn run_scheme_replayed(
-    program: &Program,
-    trace: &Trace,
-    spec: &SchemeSpec,
-    machine: &MachineConfig,
-    len: RunLength,
-    seed: u64,
-) -> SimStats {
-    assert_trace_matches(trace, program, seed);
-    let scheme = spec.build(machine);
-    let mem = MemorySystem::new(machine);
-    let mut sim = Simulator::with_source(
-        program,
-        machine.clone(),
-        scheme,
-        seed,
-        mem,
-        trace.replayer(),
-    );
-    let stats = sim.run(len.warmup, len.measure);
-    assert!(
-        !sim.source_exhausted(),
-        "trace `{}` ran dry mid-run — record at least RunLength::trace_instrs instructions",
-        trace.header().name,
-    );
-    stats
-}
-
-/// [`run_scheme_replayed`], but replaying from a chunk-compressed v2
-/// [`TraceStore`] instead of a flat trace. Statistics are bit-identical
-/// to both [`run_scheme`] and [`run_scheme_replayed`] over the same
-/// recording — the store reproduces the identical retired stream — and
-/// warmup fast-forwarding seeks through the chunk index instead of
-/// decoding every record.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`run_scheme_replayed`]
-/// (mismatched `(program, seed)`, or the store running dry mid-run).
-pub fn run_scheme_store_replayed(
-    program: &Program,
-    store: &TraceStore,
-    spec: &SchemeSpec,
-    machine: &MachineConfig,
-    len: RunLength,
-    seed: u64,
-) -> SimStats {
-    assert_store_matches(store, program, seed);
-    let scheme = spec.build(machine);
-    let mem = MemorySystem::new(machine);
-    let mut sim = Simulator::with_source(
-        program,
-        machine.clone(),
-        scheme,
-        seed,
-        mem,
-        store.replayer(),
-    );
-    let stats = sim.run(len.warmup, len.measure);
-    assert!(
-        !sim.source_exhausted(),
-        "trace store `{}` ran dry mid-run — record at least RunLength::trace_instrs instructions",
-        store.header().name,
-    );
-    stats
-}
-
-pub(crate) fn assert_trace_matches(trace: &Trace, program: &Program, seed: u64) {
-    assert_eq!(
-        trace.header().seed,
-        seed,
-        "trace `{}` was recorded with a different seed",
-        trace.header().name,
-    );
-    assert!(
-        trace.matches(program),
-        "trace `{}` was recorded against a different program",
-        trace.header().name,
-    );
-}
-
-pub(crate) fn assert_store_matches(store: &TraceStore, program: &Program, seed: u64) {
-    assert_eq!(
-        store.header().seed,
-        seed,
-        "trace store `{}` was recorded with a different seed",
-        store.header().name,
-    );
-    assert!(
-        store.matches(program),
-        "trace store `{}` was recorded against a different program",
-        store.header().name,
-    );
-}
-
-/// Runs one scheme over one program in sampled mode (see
-/// [`SamplingSpec`] and the `sampling` module docs): `len.warmup`
-/// instructions functionally warmed, `len.measure` covered by
-/// alternating fast-forward / functional warming / timed measurement.
-pub fn run_scheme_sampled(
-    program: &Program,
-    spec: &SchemeSpec,
-    machine: &MachineConfig,
-    len: RunLength,
-    sampling: SamplingSpec,
-    seed: u64,
-) -> SampledStats {
-    let scheme = spec.build(machine);
-    let mut sim = Simulator::new(program, machine.clone(), scheme, seed);
-    sim.run_sampled(len.warmup, len.measure, sampling)
-}
-
-/// [`run_scheme_sampled`] over a recorded trace: the fast-forward
-/// phases use the replayer's seekable decode-skip, which is where the
-/// bulk of sampled mode's speedup comes from.
-///
-/// # Panics
-///
-/// Panics if `trace` was not recorded against `program` with `seed`,
-/// or if the trace ran dry before the sampled run completed.
-pub fn run_scheme_sampled_replayed(
-    program: &Program,
-    trace: &Trace,
-    spec: &SchemeSpec,
-    machine: &MachineConfig,
-    len: RunLength,
-    sampling: SamplingSpec,
-    seed: u64,
-) -> SampledStats {
-    assert_trace_matches(trace, program, seed);
-    let scheme = spec.build(machine);
-    let mem = MemorySystem::new(machine);
-    let mut sim = Simulator::with_source(
-        program,
-        machine.clone(),
-        scheme,
-        seed,
-        mem,
-        trace.replayer(),
-    );
-    let stats = sim.run_sampled(len.warmup, len.measure, sampling);
-    assert!(
-        !stats.truncated,
-        "trace `{}` ran dry mid-sampled-run — record at least RunLength::trace_instrs instructions",
-        trace.header().name,
-    );
-    stats
-}
-
-/// [`run_scheme_sampled_replayed`] with warmed-state snapshots (see
-/// the [`snapshot`](crate::snapshot) module): on a store hit the
-/// initial functional warm of `len.warmup` instructions is replaced by
-/// a decode-skip plus a restore of the captured structures, which is
-/// bit-identical and many times faster; on a miss the run warms
-/// functionally and captures the state for next time. With
-/// `snapshots: None` this is exactly [`run_scheme_sampled_replayed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_scheme_sampled_replayed_snapshot(
-    program: &Program,
-    trace: &Trace,
-    spec: &SchemeSpec,
-    machine: &MachineConfig,
-    len: RunLength,
-    sampling: SamplingSpec,
-    seed: u64,
-    snapshots: Option<&SnapshotStore>,
-) -> SampledStats {
-    assert_trace_matches(trace, program, seed);
-    let scheme = spec.build(machine);
-    let mem = MemorySystem::new(machine);
-    let mut sim = Simulator::with_source(
-        program,
-        machine.clone(),
-        scheme,
-        seed,
-        mem,
-        trace.replayer(),
-    );
-    let key = snapshots
-        .map(|_| SnapshotKey::for_run(trace.header().fingerprint, machine, spec, seed, len.warmup));
-    let snap = match (snapshots, key) {
-        (Some(store), Some(k)) => store.get(&k),
-        _ => None,
-    };
-    let stats = match snap {
-        Some(snap) => {
-            sim.restore_warm(&snap);
-            sim.run_sampled_measure(len.measure, sampling)
+impl<'a> CellSource<'a> {
+    /// The recording's header and what to call it in messages (`None`
+    /// for a live walk).
+    fn recording(&self) -> Option<(&'static str, &'a TraceHeader)> {
+        match *self {
+            CellSource::Live => None,
+            CellSource::Trace(trace) => Some(("trace", trace.header())),
+            CellSource::Store(store) => Some(("trace store", store.header())),
         }
-        None => {
-            sim.warm_functional(len.warmup);
-            if let (Some(store), Some(key)) = (snapshots, key) {
-                if let Some(snap) = sim.capture_warm() {
-                    store.put(key, snap);
+    }
+
+    /// Panics unless the recording was made from `program` with `seed`:
+    /// replaying a mismatched stream would silently produce wrong
+    /// timing.
+    fn check(&self, program: &Program, seed: u64) {
+        let Some((kind, header)) = self.recording() else {
+            return;
+        };
+        assert_eq!(
+            header.seed, seed,
+            "{kind} `{}` was recorded with a different seed",
+            header.name,
+        );
+        assert!(
+            header.fingerprint == ProgramFingerprint::of(program),
+            "{kind} `{}` was recorded against a different program",
+            header.name,
+        );
+    }
+
+    /// A fresh reader at the start of the stream.
+    fn open(&self, program: &'a Program, seed: u64) -> SourceKind<'a> {
+        match *self {
+            CellSource::Live => Executor::new(program, seed).into(),
+            CellSource::Trace(trace) => trace.replayer().into(),
+            CellSource::Store(store) => store.replayer().into(),
+        }
+    }
+
+    /// What the messages call this source.
+    fn describe(&self) -> String {
+        match self.recording() {
+            Some((kind, header)) => format!("{kind} `{}`", header.name),
+            None => "live walk".into(),
+        }
+    }
+}
+
+/// How long, and in which mode, every cell of a [`run_cells`] call runs.
+#[derive(Clone, Copy)]
+pub struct CellRun<'a> {
+    /// Warmup and measured instructions.
+    pub len: RunLength,
+    /// Interval sampling with functional warming (see [`SamplingSpec`]
+    /// and the `sampling` module docs); `None` runs full detail.
+    pub sampling: Option<SamplingSpec>,
+    /// Warmed-state snapshots for sampled cells (see the
+    /// [`snapshot`](crate::snapshot) module): on a hit the initial
+    /// functional warm is replaced by a bit-identical restore, on a miss
+    /// the cell warms and captures its state. Ignored in full detail.
+    pub snapshots: Option<&'a SnapshotStore>,
+}
+
+impl CellRun<'_> {
+    /// Full detail: `len.warmup` timed but unmeasured, then `len.measure`
+    /// measured.
+    pub fn full(len: RunLength) -> Self {
+        CellRun {
+            len,
+            sampling: None,
+            snapshots: None,
+        }
+    }
+
+    /// Sampled: `len.warmup` functionally warmed, then `len.measure`
+    /// covered by `spec`-shaped intervals.
+    pub fn sampled(len: RunLength, spec: SamplingSpec) -> Self {
+        CellRun {
+            len,
+            sampling: Some(spec),
+            snapshots: None,
+        }
+    }
+
+    /// Whether [`run_cells`] runs `cells` specs as one shared-decode
+    /// batch: two or more cells, unless they restore warmed snapshots —
+    /// per-cell warm state a shared cursor cannot represent.
+    pub(crate) fn batches(&self, cells: usize) -> bool {
+        cells >= 2 && !(self.sampling.is_some() && self.snapshots.is_some())
+    }
+
+    fn validate(&self) {
+        let Some(spec) = self.sampling else {
+            return;
+        };
+        if let Err(e) = spec.validate() {
+            // audit-allow(no-unchecked-panic): entry-point contract — an invalid sampling spec is a caller bug, not a runtime condition; Experiment::try_run is the typed path
+            panic!("invalid sampling spec: {e}");
+        }
+        assert!(
+            self.len.measure >= spec.detail,
+            "sampled run measures {} instructions — too short for even one \
+             {}-instruction detail window (shrink the spec or run full detail)",
+            self.len.measure,
+            spec.detail,
+        );
+    }
+}
+
+/// One cell's result from [`run_cells`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct CellStats {
+    /// The measured statistics (the aggregate over intervals when
+    /// sampled).
+    pub stats: SimStats,
+    /// Every measured interval, when the cell ran sampled.
+    pub sampled: Option<SampledStats>,
+}
+
+/// Runs each scheme in `specs` over `program`, fed from `source`;
+/// results come back in `specs` order.
+///
+/// Two or more cells run as one shared-decode batch (see the
+/// [`batch`](crate::batch) module) with the batch accelerations on —
+/// unless they are sampled with `run.snapshots` set, since a restored
+/// snapshot is per-cell warm state a shared cursor cannot represent.
+/// Every other cell runs alone over its own reader of `source`, with
+/// the accelerations off: that is the reference the batch is checked
+/// against. Either way the statistics are bit-identical, and identical
+/// across sources over the same `(program, seed)` stream.
+///
+/// `seed` seeds the live walk and the backend's load RNG (the data
+/// side is not part of a recording), so a recording must be replayed
+/// with the seed it was recorded with.
+///
+/// # Panics
+///
+/// Panics if a recording was not made from `program` with `seed`, if it
+/// runs dry before a cell completes (record at least
+/// [`RunLength::trace_instrs`] instructions), or if `run.sampling` is
+/// invalid or cannot fit one detail window in `run.len.measure`.
+pub fn run_cells<'a>(
+    program: &'a Program,
+    source: CellSource<'a>,
+    specs: &[SchemeSpec],
+    machine: &MachineConfig,
+    run: CellRun<'_>,
+    seed: u64,
+) -> Vec<CellStats> {
+    run.validate();
+    source.check(program, seed);
+    let what = source.describe();
+    let cell = |spec: &SchemeSpec, stream: SourceKind<'a>| {
+        let scheme = spec.build(machine);
+        let mem = MemorySystem::new(machine);
+        Simulator::with_source(program, machine.clone(), scheme, seed, mem, stream)
+    };
+    if run.batches(specs.len()) {
+        let window = SharedWindow::new(source.open(program, seed));
+        let mut batch = BatchSimulator::default();
+        for spec in specs {
+            let mut sim = cell(spec, window.cursor().into());
+            sim.enable_batch_accel();
+            batch.add_cell(sim, Schedule::new(run.len, run.sampling), spec.label());
+        }
+        return batch.run(&what);
+    }
+    specs
+        .iter()
+        .flat_map(|spec| {
+            let mut sim = cell(spec, source.open(program, seed));
+            let mut schedule = Schedule::new(run.len, run.sampling);
+            if let (Some(store), Some(_)) = (run.snapshots, run.sampling) {
+                let fingerprint = source
+                    .recording()
+                    .map_or_else(|| ProgramFingerprint::of(program), |(_, h)| h.fingerprint);
+                let key = SnapshotKey::for_run(fingerprint, machine, spec, seed, run.len.warmup);
+                match store.get(&key) {
+                    Some(snap) => schedule.restore(&mut sim, &snap),
+                    None => {
+                        schedule.warm(&mut sim);
+                        store.put(key, sim.capture_warm());
+                    }
                 }
             }
-            sim.run_sampled_measure(len.measure, sampling)
-        }
-    };
-    assert!(
-        !stats.truncated,
-        "trace `{}` ran dry mid-sampled-run — record at least RunLength::trace_instrs instructions",
-        trace.header().name,
-    );
-    stats
+            let mut lone = BatchSimulator::default();
+            lone.add_cell(sim, schedule, spec.label());
+            lone.run(&what)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -494,6 +436,61 @@ mod tests {
         let labels: Vec<String> = specs.iter().map(|s| s.label()).collect();
         for (i, l) in labels.iter().enumerate() {
             assert!(!labels[..i].contains(l), "duplicate label {l}");
+        }
+    }
+
+    #[test]
+    fn mismatched_recordings_panic_with_their_named_message() {
+        use fe_cfg::workloads;
+        let machine = MachineConfig::table3();
+        let len = RunLength {
+            warmup: 1_000,
+            measure: 2_000,
+        };
+        let program = workloads::nutch().scaled(0.05).build();
+        let other = workloads::zeus().scaled(0.05).build();
+        let instrs = len.trace_instrs(&machine);
+        let other_seed = Trace::record(&program, 8, instrs);
+        let other_program = Trace::record(&other, 7, instrs);
+        let seed_store = TraceStore::from_trace(&other_seed, "test");
+        let program_store = TraceStore::from_trace(&other_program, "test");
+        let cases = [
+            (
+                CellSource::Trace(&other_seed),
+                "trace `nutch` was recorded with a different seed",
+            ),
+            (
+                CellSource::Trace(&other_program),
+                "trace `zeus` was recorded against a different program",
+            ),
+            (
+                CellSource::Store(&seed_store),
+                "trace store `nutch` was recorded with a different seed",
+            ),
+            (
+                CellSource::Store(&program_store),
+                "trace store `zeus` was recorded against a different program",
+            ),
+        ];
+        let one = [SchemeSpec::NoPrefetch];
+        let several = [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()];
+        for (source, expected) in cases {
+            for specs in [&one[..], &several[..]] {
+                let run = CellRun::full(len);
+                let panic = std::panic::catch_unwind(|| {
+                    run_cells(&program, source, specs, &machine, run, 7)
+                })
+                .expect_err("a mismatched recording must not replay");
+                let message = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .unwrap_or_default();
+                assert!(
+                    message.contains(expected),
+                    "{} cell(s): expected `{expected}`, got `{message}`",
+                    specs.len(),
+                );
+            }
         }
     }
 

@@ -167,15 +167,11 @@ pub fn mean_ci95(values: &[f64]) -> MeanCi {
     }
 }
 
-/// The result of one sampled run: every measured interval's statistics
-/// plus truncation state.
+/// The result of one sampled run: every measured interval's statistics.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SampledStats {
     /// Per-interval measured statistics, in stream order.
     pub intervals: Vec<SimStats>,
-    /// `true` when the block source ran dry before the requested
-    /// instruction count (short trace).
-    pub truncated: bool,
 }
 
 impl SampledStats {
@@ -242,84 +238,10 @@ impl CellSampling {
     }
 }
 
+/// The functional phases of a sampled run. The interval schedule that
+/// sequences them with timed detail windows is the
+/// [`batch`](crate::batch) driver's.
 impl<'p> Simulator<'p> {
-    /// Sampled run: functionally warms `warmup` instructions, then
-    /// covers `measure` instructions alternating fast-forward /
-    /// functional warming / timed measurement per `spec` (see the
-    /// module docs). Returns every measured interval's statistics.
-    ///
-    /// A finite source that runs dry ends the run early with the
-    /// intervals measured so far and `truncated` set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` fails [`SamplingSpec::validate`] or if
-    /// `measure` cannot fit even one detail window — a run that
-    /// silently measured zero intervals would report all-zero
-    /// statistics.
-    pub fn run_sampled(&mut self, warmup: u64, measure: u64, spec: SamplingSpec) -> SampledStats {
-        self.warm_functional(warmup);
-        self.run_sampled_measure(measure, spec)
-    }
-
-    /// The measured half of [`Self::run_sampled`]: assumes the initial
-    /// warmup already happened (functionally, or restored from a
-    /// [`WarmSnapshot`](crate::snapshot::WarmSnapshot)) and covers
-    /// `measure` instructions in `spec`-shaped intervals.
-    pub(crate) fn run_sampled_measure(&mut self, measure: u64, spec: SamplingSpec) -> SampledStats {
-        if let Err(e) = spec.validate() {
-            // audit-allow(no-unchecked-panic): internal entry point — the public constructors already validated the spec, so reaching here means a crate bug
-            panic!("invalid sampling spec: {e}");
-        }
-        assert!(
-            measure >= spec.detail,
-            "sampled run measures {measure} instructions — too short for even one \
-             {}-instruction detail window (shrink the spec or run full detail)",
-            spec.detail,
-        );
-        let mut intervals = Vec::new();
-        let end = self.state.retired_total.saturating_add(measure);
-        while self.state.retired_total < end && !self.state.stream_ended() {
-            let budget = (end - self.state.retired_total).min(spec.interval);
-            if budget < spec.detail {
-                // Tail shorter than a detail window: cover it
-                // functionally. A sub-length measured window would
-                // enter the per-interval statistics at full weight and
-                // skew the mean and confidence interval.
-                self.warm_functional(budget);
-                continue;
-            }
-            let detail = spec.detail;
-            let fwarm = spec.warmup.min(budget - detail);
-            let skip = budget - detail - fwarm;
-            self.skip_functional(skip);
-            self.warm_functional(fwarm);
-            if self.state.stream_ended() || !self.begin_interval() {
-                break;
-            }
-            // Unmeasured ramp: refill the FTQ/supply so the measured
-            // window does not charge artificial cold-pipeline stalls.
-            let ramp = (detail / 16).min(RAMP_CAP);
-            let ramp_end = self.state.retired_total + ramp;
-            while self.state.retired_total < ramp_end && !self.state.stream_ended() {
-                self.cycle();
-            }
-            self.begin_measurement();
-            let measure_end = self.state.retired_total + (detail - ramp);
-            while self.state.retired_total < measure_end && !self.state.stream_ended() {
-                self.cycle();
-            }
-            let stats = self.finalize();
-            if stats.instructions > 0 {
-                intervals.push(stats);
-            }
-        }
-        SampledStats {
-            intervals,
-            truncated: self.state.source_dry,
-        }
-    }
-
     /// Functional warming: drains at least `instrs` instructions from
     /// the source through the update-only paths (no cycles, no memory
     /// traffic), stopping at the first block boundary at or past the
@@ -335,9 +257,9 @@ impl<'p> Simulator<'p> {
     /// pass, where one leader walks the warm window and the other
     /// cells' schemes ride along instead of re-walking it themselves.
     /// The context the riders see is the leader's post-`warm_one`
-    /// state, exactly what each rider's own serial warm would show at
+    /// state, exactly what each rider's own warm would show at
     /// the same block (the warmed structures are identical across
-    /// same-config cells). With no riders this is the serial warm path,
+    /// same-config cells). With no riders this is the plain warm path,
     /// unchanged.
     pub(crate) fn warm_functional_with(&mut self, instrs: u64, riders: &mut [EngineScheme]) -> u64 {
         let mut warmed = 0u64;
@@ -478,9 +400,22 @@ impl<'p> Simulator<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_scheme, run_scheme_sampled, RunLength, SchemeSpec};
-    use fe_cfg::workloads;
+    use crate::runner::{run_cells, CellRun, CellSource, RunLength, SchemeSpec};
+    use fe_cfg::{workloads, Program};
     use fe_model::MachineConfig;
+
+    /// One live-walk cell, sampled per `spec`.
+    fn sampled(
+        program: &Program,
+        scheme: SchemeSpec,
+        len: RunLength,
+        spec: SamplingSpec,
+    ) -> SampledStats {
+        let run = CellRun::sampled(len, spec);
+        let machine = MachineConfig::table3();
+        let mut cells = run_cells(program, CellSource::Live, &[scheme], &machine, run, 7);
+        cells.remove(0).sampled.expect("sampled cell")
+    }
 
     #[test]
     fn spec_validation_rejects_broken_shapes() {
@@ -505,19 +440,12 @@ mod tests {
     #[should_panic(expected = "too short for even one")]
     fn measure_too_short_for_one_window_fails_loudly() {
         let program = workloads::nutch().scaled(0.05).build();
-        let machine = MachineConfig::table3();
         // measure < detail: would silently measure zero intervals.
-        let _ = run_scheme_sampled(
-            &program,
-            &SchemeSpec::NoPrefetch,
-            &machine,
-            RunLength {
-                warmup: 1_000,
-                measure: 10_000,
-            },
-            SamplingSpec::DEFAULT,
-            7,
-        );
+        let len = RunLength {
+            warmup: 1_000,
+            measure: 10_000,
+        };
+        let _ = sampled(&program, SchemeSpec::NoPrefetch, len, SamplingSpec::DEFAULT);
     }
 
     #[test]
@@ -532,7 +460,6 @@ mod tests {
     #[test]
     fn sampled_run_is_deterministic_and_covers_intervals() {
         let program = workloads::nutch().scaled(0.05).build();
-        let machine = MachineConfig::table3();
         let len = RunLength {
             warmup: 50_000,
             measure: 400_000,
@@ -542,11 +469,10 @@ mod tests {
             detail: 20_000,
             warmup: 20_000,
         };
-        let a = run_scheme_sampled(&program, &SchemeSpec::shotgun(), &machine, len, spec, 7);
-        let b = run_scheme_sampled(&program, &SchemeSpec::shotgun(), &machine, len, spec, 7);
+        let a = sampled(&program, SchemeSpec::shotgun(), len, spec);
+        let b = sampled(&program, SchemeSpec::shotgun(), len, spec);
         assert_eq!(a, b, "sampled runs must be deterministic");
         assert_eq!(a.interval_count(), 4);
-        assert!(!a.truncated);
         let agg = a.aggregate();
         assert!(agg.instructions > 0);
         assert!(agg.cycles > 0);
@@ -560,20 +486,22 @@ mod tests {
             warmup: 100_000,
             measure: 600_000,
         };
-        let full = run_scheme(&program, &SchemeSpec::boomerang(), &machine, len, 7);
-        let sampled = run_scheme_sampled(
+        let full = run_cells(
             &program,
-            &SchemeSpec::boomerang(),
+            CellSource::Live,
+            &[SchemeSpec::boomerang()],
             &machine,
-            len,
-            SamplingSpec {
-                interval: 100_000,
-                detail: 25_000,
-                warmup: 25_000,
-            },
+            CellRun::full(len),
             7,
-        );
-        let agg = sampled.aggregate();
+        )
+        .remove(0)
+        .stats;
+        let spec = SamplingSpec {
+            interval: 100_000,
+            detail: 25_000,
+            warmup: 25_000,
+        };
+        let agg = sampled(&program, SchemeSpec::boomerang(), len, spec).aggregate();
         let ipc_err = (agg.ipc() - full.ipc()).abs() / full.ipc();
         assert!(
             ipc_err < 0.05,

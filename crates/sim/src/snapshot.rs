@@ -23,26 +23,20 @@
 //! through the timed pipeline, which is the measurement, not a
 //! warm-up).
 //!
-//! Schemes ride along as clones of their concrete state; the
-//! dynamic-dispatch extension seam
-//! ([`SchemeKind::Other`](crate::SchemeKind)) is not cloneable, so
-//! such cells simply never snapshot (and never lose correctness).
+//! Schemes ride along as clones of their concrete state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use fe_baselines::{Boomerang, Confluence, Fdip, NoPrefetch};
 use fe_model::MachineConfig;
 use fe_trace::ProgramFingerprint;
 use fe_uarch::{FastMap, LineCache, MemSnapshot, ReturnAddressStack, Tage};
-use shotgun::ShotgunPrefetcher;
 
 use crate::cache::{config_hash, machine_to_json, ENGINE_VERSION};
 use crate::engine::{EngineScheme, Simulator};
 use crate::experiment::scheme_to_json;
 use crate::json::Json;
 use crate::runner::SchemeSpec;
-use crate::SchemeKind;
 
 /// Identifies one warmed state: everything that determines the
 /// post-warmup microarchitectural contents.
@@ -81,46 +75,6 @@ impl SnapshotKey {
     }
 }
 
-/// Clone of a scheme's concrete warmed state. The enum-dispatch kinds
-/// are all plain owned data; the boxed dynamic extension seam is not
-/// cloneable and therefore not snapshottable.
-#[derive(Clone)]
-enum WarmScheme {
-    NoPrefetch(NoPrefetch),
-    Fdip(Fdip),
-    Boomerang(Boomerang),
-    Confluence(Confluence),
-    Shotgun(ShotgunPrefetcher),
-    Ideal,
-}
-
-impl WarmScheme {
-    fn capture(scheme: &EngineScheme) -> Option<WarmScheme> {
-        Some(match scheme {
-            EngineScheme::Ideal => WarmScheme::Ideal,
-            EngineScheme::Real(kind) => match kind {
-                SchemeKind::NoPrefetch(s) => WarmScheme::NoPrefetch((**s).clone()),
-                SchemeKind::Fdip(s) => WarmScheme::Fdip((**s).clone()),
-                SchemeKind::Boomerang(s) => WarmScheme::Boomerang((**s).clone()),
-                SchemeKind::Confluence(s) => WarmScheme::Confluence((**s).clone()),
-                SchemeKind::Shotgun(s) => WarmScheme::Shotgun((**s).clone()),
-                SchemeKind::Other(_) => return None,
-            },
-        })
-    }
-
-    fn install(&self) -> EngineScheme {
-        match self {
-            WarmScheme::NoPrefetch(s) => EngineScheme::real(s.clone()),
-            WarmScheme::Fdip(s) => EngineScheme::real(s.clone()),
-            WarmScheme::Boomerang(s) => EngineScheme::real(s.clone()),
-            WarmScheme::Confluence(s) => EngineScheme::real(s.clone()),
-            WarmScheme::Shotgun(s) => EngineScheme::real(s.clone()),
-            WarmScheme::Ideal => EngineScheme::Ideal,
-        }
-    }
-}
-
 /// Deep copy of the scheme-*independent* structures the functional
 /// warm path mutates: L1-I, TAGE, retire RAS, and the memory image.
 /// Shared by [`WarmSnapshot`] (cross-run caching) and the batch
@@ -141,22 +95,26 @@ pub(crate) struct WarmStructures {
 /// exactness argument.
 pub struct WarmSnapshot {
     structures: WarmStructures,
-    scheme: WarmScheme,
+    scheme: EngineScheme,
     /// Instructions the warm phase consumed (block-aligned).
     warmed: u64,
 }
 
 impl<'p> Simulator<'p> {
-    /// Captures the scheme-independent warmed structures. `None` when
-    /// the memory system is not snapshottable (shared memory group).
-    pub(crate) fn capture_warm_structures(&self) -> Option<WarmStructures> {
+    /// Captures the scheme-independent warmed structures. Only cells
+    /// with a private memory system warm functionally, so the memory
+    /// image is always snapshottable here.
+    pub(crate) fn capture_warm_structures(&self) -> WarmStructures {
         let s = &self.state;
-        Some(WarmStructures {
+        WarmStructures {
             l1i: s.l1i.clone(),
             tage: s.tage.clone(),
             retire_ras: s.retire_ras.clone(),
-            mem: s.mem.snapshot()?,
-        })
+            mem: s
+                .mem
+                .snapshot()
+                .expect("functionally warmed cells own a private memory system"),
+        }
     }
 
     /// Installs deep copies of scheme-independent warmed structures.
@@ -171,14 +129,12 @@ impl<'p> Simulator<'p> {
 
     /// Captures the current warmed state. Call immediately after the
     /// initial functional warm of a sampled run, before any interval.
-    /// `None` when the scheme or the memory system is not
-    /// snapshottable (dynamic-dispatch scheme, shared memory group).
-    pub(crate) fn capture_warm(&self) -> Option<WarmSnapshot> {
-        Some(WarmSnapshot {
-            scheme: WarmScheme::capture(&self.state.scheme)?,
-            structures: self.capture_warm_structures()?,
+    pub(crate) fn capture_warm(&self) -> WarmSnapshot {
+        WarmSnapshot {
+            scheme: self.state.scheme.clone(),
+            structures: self.capture_warm_structures(),
             warmed: self.state.retired_total,
-        })
+        }
     }
 
     /// Restores a warmed state into a *fresh* simulator built over the
@@ -193,7 +149,7 @@ impl<'p> Simulator<'p> {
             "snapshot warmed past the source's end — mismatched snapshot?"
         );
         self.install_warm_structures(&snap.structures);
-        self.state.scheme = snap.scheme.install();
+        self.state.scheme = snap.scheme.clone();
     }
 }
 
@@ -313,11 +269,9 @@ impl Default for SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{
-        run_scheme_sampled_replayed, run_scheme_sampled_replayed_snapshot, RunLength,
-    };
+    use crate::runner::{run_cells, CellRun, CellSource, CellStats, RunLength};
     use crate::sampling::SamplingSpec;
-    use fe_cfg::workloads;
+    use fe_cfg::{workloads, Program};
     use fe_trace::Trace;
 
     const LEN: RunLength = RunLength {
@@ -329,6 +283,31 @@ mod tests {
         detail: 20_000,
         warmup: 20_000,
     };
+
+    /// One sampled cell over `trace`, restoring from and capturing
+    /// into `snapshots` when given.
+    fn run(
+        program: &Program,
+        trace: &Trace,
+        scheme: &SchemeSpec,
+        snapshots: Option<&SnapshotStore>,
+    ) -> CellStats {
+        let run = CellRun {
+            snapshots,
+            ..CellRun::sampled(LEN, SPEC)
+        };
+        let machine = MachineConfig::table3();
+        let source = CellSource::Trace(trace);
+        run_cells(
+            program,
+            source,
+            std::slice::from_ref(scheme),
+            &machine,
+            run,
+            7,
+        )
+        .remove(0)
+    }
 
     #[test]
     fn snapshot_runs_are_bit_identical_to_functional_warming() {
@@ -343,28 +322,9 @@ mod tests {
             SchemeSpec::Confluence,
             SchemeSpec::Ideal,
         ] {
-            let plain =
-                run_scheme_sampled_replayed(&program, &trace, &scheme, &machine, LEN, SPEC, 7);
-            let cold = run_scheme_sampled_replayed_snapshot(
-                &program,
-                &trace,
-                &scheme,
-                &machine,
-                LEN,
-                SPEC,
-                7,
-                Some(&store),
-            );
-            let warm = run_scheme_sampled_replayed_snapshot(
-                &program,
-                &trace,
-                &scheme,
-                &machine,
-                LEN,
-                SPEC,
-                7,
-                Some(&store),
-            );
+            let plain = run(&program, &trace, &scheme, None);
+            let cold = run(&program, &trace, &scheme, Some(&store));
+            let warm = run(&program, &trace, &scheme, Some(&store));
             assert_eq!(plain, cold, "first snapshot run ({})", scheme.label());
             assert_eq!(plain, warm, "restored snapshot run ({})", scheme.label());
         }
@@ -392,17 +352,8 @@ mod tests {
         let machine = MachineConfig::table3();
         let trace = Trace::record(&program, 7, LEN.trace_instrs(&machine));
         let store = SnapshotStore::with_capacity(1);
-        for seed_scheme in [SchemeSpec::NoPrefetch, SchemeSpec::Fdip] {
-            run_scheme_sampled_replayed_snapshot(
-                &program,
-                &trace,
-                &seed_scheme,
-                &machine,
-                LEN,
-                SPEC,
-                7,
-                Some(&store),
-            );
+        for scheme in [SchemeSpec::NoPrefetch, SchemeSpec::Fdip] {
+            run(&program, &trace, &scheme, Some(&store));
         }
         assert_eq!(store.len(), 1, "older snapshot evicted");
     }
@@ -413,32 +364,23 @@ mod tests {
         let machine = MachineConfig::table3();
         let trace = Trace::record(&program, 7, LEN.trace_instrs(&machine));
         let store = SnapshotStore::with_capacity(2);
-        let run = |scheme: &SchemeSpec| {
-            run_scheme_sampled_replayed_snapshot(
-                &program,
-                &trace,
-                scheme,
-                &machine,
-                LEN,
-                SPEC,
-                7,
-                Some(&store),
-            );
+        let warm = |scheme: &SchemeSpec| {
+            run(&program, &trace, scheme, Some(&store));
         };
         // Fill: NoPrefetch is now the oldest insertion, Fdip the newest.
-        run(&SchemeSpec::NoPrefetch);
-        run(&SchemeSpec::Fdip);
+        warm(&SchemeSpec::NoPrefetch);
+        warm(&SchemeSpec::Fdip);
         // Hit NoPrefetch: under stale insertion-order eviction it would
         // still be first in line; the hit must move it to the back.
-        run(&SchemeSpec::NoPrefetch);
+        warm(&SchemeSpec::NoPrefetch);
         assert_eq!(store.hits(), 1);
         // Third distinct key: the eviction victim must be Fdip (least
         // recently used), not the just-hit NoPrefetch.
-        run(&SchemeSpec::boomerang());
+        warm(&SchemeSpec::boomerang());
         assert_eq!(store.len(), 2);
-        run(&SchemeSpec::NoPrefetch);
+        warm(&SchemeSpec::NoPrefetch);
         assert_eq!(store.hits(), 2, "refreshed entry survived the eviction");
-        run(&SchemeSpec::Fdip);
+        warm(&SchemeSpec::Fdip);
         assert_eq!(store.hits(), 2, "stale entry was the one evicted");
         assert_eq!(store.misses(), 4, "cold runs plus the re-warmed Fdip");
     }

@@ -1,17 +1,13 @@
 //! Batch-engine equivalence: the shared-decode batch path must be
 //! *byte-identical* to the serial path at the report level — same
 //! `SweepReport` JSON, cell for cell — across workloads, scheme sets,
-//! seeds, and run shapes. The serial path is the reference (it runs
-//! none of the batch accelerations), so these tests are what licenses
-//! `Experiment`'s batch-by-default routing.
+//! seeds, and run shapes. Lone cells are the reference (they run none
+//! of the batch accelerations), so these tests are what licenses
+//! batching by default.
 
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
-use fe_sim::{
-    run_scheme_replayed, BatchSimulator, Experiment, RunLength, SamplingSpec, SchemeSpec,
-    SweepReport,
-};
-use fe_trace::Trace;
+use fe_sim::{Experiment, RunLength, SamplingSpec, SchemeSpec, SweepReport};
 use proptest::prelude::*;
 
 /// Short but non-trivial: long enough to cross redirects, i-cache
@@ -87,50 +83,6 @@ fn sampled_batch_report_is_byte_identical() {
         run(false).to_json(),
         "sampled batch and serial sweeps must serialize to identical bytes"
     );
-}
-
-/// `Experiment` fixes one `RunLength` per sweep, but the engine itself
-/// accepts a length per cell; a short cell must finish, release its
-/// shared-window cursor (so the window keeps pruning), and leave the
-/// longer cells bit-identical to their solo runs.
-#[test]
-fn heterogeneous_run_lengths_batch_without_cross_talk() {
-    let program = workloads::apache().scaled(0.15).build();
-    let machine = MachineConfig::table3();
-    let seed = 0x5407;
-    let long = RunLength {
-        warmup: 40_000,
-        measure: 120_000,
-    };
-    let short = RunLength {
-        warmup: 10_000,
-        measure: 20_000,
-    };
-    let trace = Trace::record(&program, seed, long.trace_instrs(&machine));
-
-    let mut batch = BatchSimulator::new(&program, machine.clone(), trace.replayer(), seed, None);
-    batch.add_cell(&SchemeSpec::shotgun(), long);
-    batch.add_cell(&SchemeSpec::NoPrefetch, short);
-    batch.add_cell(&SchemeSpec::boomerang(), long);
-    let stats = batch.run();
-
-    for (i, (spec, len)) in [
-        (SchemeSpec::shotgun(), long),
-        (SchemeSpec::NoPrefetch, short),
-        (SchemeSpec::boomerang(), long),
-    ]
-    .iter()
-    .enumerate()
-    {
-        let solo = run_scheme_replayed(&program, &trace, spec, &machine, *len, seed);
-        assert_eq!(
-            stats[i],
-            solo,
-            "cell {} ({}) diverged from its solo run",
-            i,
-            spec.label(),
-        );
-    }
 }
 
 proptest! {

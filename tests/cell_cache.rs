@@ -3,11 +3,6 @@
 //! versioning (a bumped engine invalidates every entry), and
 //! cache-backed sweeps (served results byte-identical to computed
 //! ones, with repeated sweeps recomputing nothing).
-//!
-//! This file owns the only tests that assert on the process-global
-//! `fe_sim::cells_executed` / `fe_cfg::exec::walks_started` deltas
-//! outside `record_once.rs` — keep counter-delta assertions within a
-//! single `#[test]` so parallel test threads cannot interfere.
 
 use std::sync::Arc;
 
@@ -188,22 +183,23 @@ fn cached_sweep_is_byte_identical_and_recomputes_nothing() {
             .run()
     };
 
-    let cells0 = fe_sim::cells_executed();
     let cold = sweep(Arc::clone(&store));
-    let computed = fe_sim::cells_executed() - cells0;
-    assert_eq!(computed, 6, "cold sweep computes every cell");
+    assert_eq!(
+        cold.counters().cells_computed,
+        6,
+        "cold sweep computes every cell"
+    );
     assert_eq!(store.puts(), 6, "...and persists every cell");
 
-    let walks0 = fe_cfg::exec::walks_started();
-    let cells1 = fe_sim::cells_executed();
     let warm = sweep(store);
     assert_eq!(
-        fe_sim::cells_executed() - cells1,
+        warm.counters().cells_computed,
         0,
         "warm sweep recomputes nothing"
     );
+    assert_eq!(warm.counters().cells_cached, 6, "...serving every cell");
     assert_eq!(
-        fe_cfg::exec::walks_started() - walks0,
+        warm.counters().executor_walks,
         0,
         "fully cached workloads skip the executor walk and recording"
     );

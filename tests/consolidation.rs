@@ -74,15 +74,16 @@ fn mix_contexts_differ_from_solo_runs() {
     let report = sweep(2);
     let consolidated = report.cell("apache+db2#0.apache", &SchemeSpec::shotgun());
     let solo_program = mix().members[0].clone().build();
-    let solo = fe_sim::run_scheme(
+    let solo = fe_sim::run_cells(
         &solo_program,
-        &SchemeSpec::shotgun(),
+        fe_sim::CellSource::Live,
+        &[SchemeSpec::shotgun()],
         &MachineConfig::table3(),
-        LEN,
+        fe_sim::CellRun::full(LEN),
         fe_sim::derive_ctx_seed(0x5407, 0),
     );
     assert_ne!(
-        consolidated.stats.cycles, solo.cycles,
+        consolidated.stats.cycles, solo[0].stats.cycles,
         "shared memory system must perturb timing"
     );
 }

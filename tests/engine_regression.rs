@@ -5,13 +5,12 @@
 //! ordering, stall accounting, RNG streams, or JSON shape shows up as
 //! a byte diff here.
 
-use fe_cfg::{workloads, Executor, Program};
-use fe_model::{MachineConfig, SimStats};
+use fe_cfg::workloads;
+use fe_model::MachineConfig;
 use fe_sim::{
-    run_scheme, Experiment, RunLength, SamplingSpec, SchemeSpec, Simulator, SourceKind, SweepReport,
+    run_cells, CellRun, CellSource, Experiment, RunLength, SamplingSpec, SchemeSpec, SweepReport,
 };
-use fe_trace::Trace;
-use fe_uarch::MemorySystem;
+use fe_trace::{Trace, TraceStore};
 use proptest::prelude::*;
 
 const PINNED: &str = include_str!("fixtures/pinned_nutch_smoke.json");
@@ -67,126 +66,22 @@ fn replayed_sweep_cells_match_live_execution_for_every_workload() {
     for wl in &specs {
         let program = wl.build();
         for scheme in &schemes {
-            let live = run_scheme(&program, scheme, &machine, len, 0x5407);
+            let run = CellRun::full(len);
+            let live = run_cells(
+                &program,
+                CellSource::Live,
+                std::slice::from_ref(scheme),
+                &machine,
+                run,
+                0x5407,
+            );
             assert_eq!(
                 report.cell(&wl.name, scheme).stats,
-                live,
+                live[0].stats,
                 "replayed cell ({}, {}) diverged from live execution",
                 wl.name,
                 scheme.label(),
             );
-        }
-    }
-}
-
-/// How a parity run feeds the pipeline — every `SourceKind` variant,
-/// with `Other` covering both payloads the engine used to box.
-#[derive(Clone, Copy, Debug)]
-enum SourceFlavor {
-    /// `SourceKind::Live` (devirtualized executor walk).
-    Live,
-    /// `SourceKind::Replay` (devirtualized trace decode).
-    Replay,
-    /// `SourceKind::Other(Box<Executor>)` — the old dyn path, live.
-    DynLive,
-    /// `SourceKind::Other(Box<TraceReplayer>)` — the old dyn path,
-    /// replayed.
-    DynReplay,
-}
-
-impl SourceFlavor {
-    const ALL: [SourceFlavor; 4] = [
-        SourceFlavor::Live,
-        SourceFlavor::Replay,
-        SourceFlavor::DynLive,
-        SourceFlavor::DynReplay,
-    ];
-
-    fn build<'p>(self, program: &'p Program, trace: &'p Trace, seed: u64) -> SourceKind<'p> {
-        match self {
-            SourceFlavor::Live => Executor::new(program, seed).into(),
-            SourceFlavor::Replay => trace.replayer().into(),
-            SourceFlavor::DynLive => SourceKind::Other(Box::new(Executor::new(program, seed))),
-            SourceFlavor::DynReplay => SourceKind::Other(Box::new(trace.replayer())),
-        }
-    }
-}
-
-/// One full-detail run with an explicit source flavor and scheme
-/// dispatch path (`dyn_scheme` selects `SchemeSpec::build_dyn`, the
-/// boxed reference path).
-#[allow(clippy::too_many_arguments)]
-fn run_flavored(
-    program: &Program,
-    trace: &Trace,
-    spec: &SchemeSpec,
-    machine: &MachineConfig,
-    len: RunLength,
-    seed: u64,
-    flavor: SourceFlavor,
-    dyn_scheme: bool,
-) -> SimStats {
-    let scheme = if dyn_scheme {
-        spec.build_dyn(machine)
-    } else {
-        spec.build(machine)
-    };
-    let mem = MemorySystem::new(machine);
-    let mut sim = Simulator::with_source(
-        program,
-        machine.clone(),
-        scheme,
-        seed,
-        mem,
-        flavor.build(program, trace, seed),
-    );
-    let stats = sim.run(len.warmup, len.measure);
-    assert!(!sim.source_exhausted(), "parity trace ran dry");
-    stats
-}
-
-#[test]
-fn enum_dispatch_matches_dyn_dispatch_for_every_named_workload() {
-    // The devirtualized tick path (enum-dispatched scheme + source)
-    // must be bit-identical to the old `Box<dyn>` path on every named
-    // workload: identical `SimStats` derive identical metrics, so the
-    // sweep JSON the devirtualized engine emits is byte-for-byte what
-    // the dynamic engine would have written.
-    let machine = MachineConfig::table3();
-    let len = RunLength {
-        warmup: 20_000,
-        measure: 50_000,
-    };
-    let schemes = [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()];
-    for wl in workloads::all() {
-        let wl = wl.scaled(0.04);
-        let program = wl.build();
-        let trace = Trace::record(&program, 0x5407, len.trace_instrs(&machine));
-        for spec in &schemes {
-            let enum_live = run_flavored(
-                &program,
-                &trace,
-                spec,
-                &machine,
-                len,
-                0x5407,
-                SourceFlavor::Live,
-                false,
-            );
-            for flavor in SourceFlavor::ALL {
-                for dyn_scheme in [false, true] {
-                    let stats = run_flavored(
-                        &program, &trace, spec, &machine, len, 0x5407, flavor, dyn_scheme,
-                    );
-                    assert_eq!(
-                        stats,
-                        enum_live,
-                        "({}, {}) diverged: flavor {flavor:?}, dyn_scheme {dyn_scheme}",
-                        wl.name,
-                        spec.label(),
-                    );
-                }
-            }
         }
     }
 }
@@ -223,43 +118,49 @@ fn sampled_sweep_json_is_reproducible_on_the_devirtualized_path() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random (source kind, scheme) pairs agree with the old
-    /// `Box<dyn>` dispatch on final statistics — the devirtualization
-    /// is a pure performance refactor with no semantic surface.
+    /// A live walk, its flat recording and its chunked store feed the
+    /// pipeline the same stream, so every source gives identical
+    /// statistics for a random (workload, scheme, seed) cell.
     #[test]
-    fn random_source_and_scheme_pairs_agree_with_the_dyn_path(
+    fn every_cell_source_gives_identical_stats(
         which_wl in 0usize..6,
-        which_scheme in 0usize..5,
-        which_flavor in 0usize..4,
+        which_scheme in 0usize..6,
         seed in 1u64..1 << 40,
     ) {
         let machine = MachineConfig::table3();
-        let len = RunLength {
+        let run = CellRun::full(RunLength {
             warmup: 10_000,
             measure: 30_000,
-        };
+        });
         let all = workloads::all();
         let program = all[which_wl % all.len()].clone().scaled(0.04).build();
-        let trace = Trace::record(&program, seed, len.trace_instrs(&machine));
+        let trace = Trace::record(&program, seed, run.len.trace_instrs(&machine));
+        let store = TraceStore::from_trace_with(&trace, "parity", 256);
         let spec = [
             SchemeSpec::NoPrefetch,
             SchemeSpec::Fdip,
             SchemeSpec::boomerang(),
             SchemeSpec::Confluence,
+            SchemeSpec::Ideal,
             SchemeSpec::shotgun(),
-        ][which_scheme % 5]
+        ][which_scheme % 6]
             .clone();
-        let flavor = SourceFlavor::ALL[which_flavor % SourceFlavor::ALL.len()];
-
-        let enum_path = run_flavored(&program, &trace, &spec, &machine, len, seed, flavor, false);
-        let dyn_path = run_flavored(&program, &trace, &spec, &machine, len, seed, flavor, true);
+        let specs = std::slice::from_ref(&spec);
+        let cell = |source| run_cells(&program, source, specs, &machine, run, seed);
+        let live = cell(CellSource::Live);
         prop_assert_eq!(
-            enum_path,
-            dyn_path,
-            "({}, {}) flavor {:?}: enum and dyn dispatch disagree",
+            &cell(CellSource::Trace(&trace)),
+            &live,
+            "({}, {}): trace replay diverged from the live walk",
             program.name(),
             spec.label(),
-            flavor,
+        );
+        prop_assert_eq!(
+            &cell(CellSource::Store(&store)),
+            &live,
+            "({}, {}): store replay diverged from the live walk",
+            program.name(),
+            spec.label(),
         );
     }
 }

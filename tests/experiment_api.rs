@@ -1,13 +1,13 @@
 //! Tests of the `Experiment` session API: thread-count invariance,
-//! JSON round-tripping, and equivalence with the one-cell
-//! `run_scheme` wrapper.
+//! JSON round-tripping, and equivalence with lone live cells run
+//! through `run_cells`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use fe_cfg::{workloads, LayerSpec, WorkloadSpec};
 use fe_model::MachineConfig;
-use fe_sim::{run_scheme, Experiment, RunLength, SchemeSpec, SweepReport};
+use fe_sim::{run_cells, CellRun, CellSource, Experiment, RunLength, SchemeSpec, SweepReport};
 use shotgun::ShotgunConfig;
 
 fn small_suite() -> Vec<WorkloadSpec> {
@@ -75,19 +75,27 @@ fn report_round_trips_through_json_and_disk() {
 }
 
 #[test]
-fn sweep_cells_match_run_scheme() {
+fn sweep_cells_match_lone_live_cells() {
     // The sweep must reproduce exactly what a hand-rolled serial loop
-    // over `run_scheme` measures (the old `run_suite` semantics).
+    // of lone live cells measures (the old `run_suite` semantics).
     let report = sweep(4);
     let machine = MachineConfig::table3();
     for wl in small_suite() {
         let program = wl.build();
         for spec in schemes() {
-            let direct = run_scheme(&program, &spec, &machine, RunLength::SMOKE, 5);
+            let run = CellRun::full(RunLength::SMOKE);
+            let direct = run_cells(
+                &program,
+                CellSource::Live,
+                std::slice::from_ref(&spec),
+                &machine,
+                run,
+                5,
+            );
             assert_eq!(
                 report.cell(&wl.name, &spec).stats,
-                direct,
-                "cell ({}, {}) diverges from run_scheme",
+                direct[0].stats,
+                "cell ({}, {}) diverges from a lone live cell",
                 wl.name,
                 spec.label(),
             );

@@ -8,9 +8,7 @@ use std::path::PathBuf;
 
 use fe_cfg::workloads;
 use fe_model::{BlockSource, MachineConfig};
-use fe_sim::{
-    run_scheme_replayed, run_scheme_store_replayed, Experiment, RunLength, SamplingSpec, SchemeSpec,
-};
+use fe_sim::{run_cells, CellRun, CellSource, Experiment, RunLength, SamplingSpec, SchemeSpec};
 use fe_trace::{ingest_bytes, IngestOptions, SourceFormat, Trace, TraceStore};
 
 const SEED: u64 = 0x5407;
@@ -126,11 +124,29 @@ fn store_replay_is_bit_identical_and_seek_skips_chunks() {
     let store = TraceStore::from_trace_with(&trace, "integration", 256);
     assert!(store.chunk_count() > 8, "test needs many chunks to skip");
 
-    for scheme in [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()] {
-        let flat = run_scheme_replayed(&program, &trace, &scheme, &machine, LEN, SEED);
-        let chunked = run_scheme_store_replayed(&program, &store, &scheme, &machine, LEN, SEED);
-        assert_eq!(flat, chunked, "store replay under {}", scheme.label());
+    let specs = [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()];
+    for spec in &specs {
+        let lone = |source| {
+            run_cells(
+                &program,
+                source,
+                std::slice::from_ref(spec),
+                &machine,
+                CellRun::full(LEN),
+                SEED,
+            )
+        };
+        let flat = lone(CellSource::Trace(&trace));
+        let chunked = lone(CellSource::Store(&store));
+        assert_eq!(flat, chunked, "store replay under {}", spec.label());
     }
+    // A batch over the store (one shared decode) agrees too.
+    let batch = |source| run_cells(&program, source, &specs, &machine, CellRun::full(LEN), SEED);
+    assert_eq!(
+        batch(CellSource::Store(&store)),
+        batch(CellSource::Trace(&trace)),
+        "batched store replay"
+    );
 
     // Seek deep into the stream: the replayer must decode only the
     // landing chunk, not everything before it.

@@ -2,8 +2,17 @@
 //! timing simulation, end to end.
 
 use fe_cfg::{analytics, workloads, Executor, LayerSpec, WorkloadSpec};
-use fe_model::MachineConfig;
-use fe_sim::{run_scheme, Experiment, RunLength, SchemeSpec};
+use fe_model::{MachineConfig, SimStats};
+use fe_sim::{run_cells, CellRun, CellSource, Experiment, RunLength, SchemeSpec};
+
+/// One live-walk cell on the Table 3 machine.
+fn live(program: &fe_cfg::Program, spec: SchemeSpec, len: RunLength, seed: u64) -> SimStats {
+    let machine = MachineConfig::table3();
+    let run = CellRun::full(len);
+    run_cells(program, CellSource::Live, &[spec], &machine, run, seed)
+        .remove(0)
+        .stats
+}
 
 fn small_workload() -> WorkloadSpec {
     WorkloadSpec {
@@ -37,21 +46,8 @@ fn simulation_is_deterministic() {
 #[test]
 fn different_seeds_change_timing_not_structure() {
     let program = small_workload().build();
-    let machine = MachineConfig::table3();
-    let a = run_scheme(
-        &program,
-        &SchemeSpec::NoPrefetch,
-        &machine,
-        RunLength::SMOKE,
-        1,
-    );
-    let b = run_scheme(
-        &program,
-        &SchemeSpec::NoPrefetch,
-        &machine,
-        RunLength::SMOKE,
-        2,
-    );
+    let a = live(&program, SchemeSpec::NoPrefetch, RunLength::SMOKE, 1);
+    let b = live(&program, SchemeSpec::NoPrefetch, RunLength::SMOKE, 2);
     // Runs stop within one retire-width of the target.
     assert!(
         a.instructions.abs_diff(b.instructions) <= 8,
@@ -66,12 +62,11 @@ fn different_seeds_change_timing_not_structure() {
 #[test]
 fn measured_instructions_match_request() {
     let program = small_workload().build();
-    let machine = MachineConfig::table3();
     let len = RunLength {
         warmup: 100_000,
         measure: 300_000,
     };
-    let s = run_scheme(&program, &SchemeSpec::boomerang(), &machine, len, 3);
+    let s = live(&program, SchemeSpec::boomerang(), len, 3);
     // Block granularity means slight overshoot, bounded by one block.
     assert!(s.instructions >= 300_000);
     assert!(s.instructions < 300_000 + 32);
@@ -82,12 +77,11 @@ fn executor_and_sim_agree_on_instruction_stream() {
     // The simulator must retire exactly the executor's stream: branch
     // counts from an offline walk match the sim's stats.
     let program = small_workload().build();
-    let machine = MachineConfig::table3();
     let len = RunLength {
         warmup: 0,
         measure: 200_000,
     };
-    let s = run_scheme(&program, &SchemeSpec::NoPrefetch, &machine, len, 9);
+    let s = live(&program, SchemeSpec::NoPrefetch, len, 9);
 
     let mut exec = Executor::new(&program, 9);
     let mut branches = 0u64;

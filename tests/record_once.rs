@@ -1,10 +1,6 @@
 //! Record-once sweep gate: a multi-scheme `Experiment` must perform
 //! the executor walk exactly once per workload — each scheme cell
 //! replays the recording instead of re-walking the stream.
-//!
-//! This file must hold only this one test: the walk counter
-//! (`fe_cfg::exec::walks_started`) is process-global, and each
-//! integration-test file runs as its own process.
 
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
@@ -17,7 +13,6 @@ fn multi_scheme_sweep_walks_each_workload_once() {
         SchemeSpec::boomerang(),
         SchemeSpec::shotgun(),
     ];
-    let before = fe_cfg::exec::walks_started();
     let report = Experiment::new(MachineConfig::table3())
         .workload(workloads::nutch().scaled(0.05))
         .workload(workloads::zeus().scaled(0.05))
@@ -29,10 +24,10 @@ fn multi_scheme_sweep_walks_each_workload_once() {
         .seed(9)
         .threads(2)
         .run();
-    let walks = fe_cfg::exec::walks_started() - before;
     assert_eq!(report.cells.len(), 6, "2 workloads x 3 schemes");
     assert_eq!(
-        walks, 2,
+        report.counters().executor_walks,
+        2,
         "record-once: one executor walk per workload, not one per cell"
     );
 }

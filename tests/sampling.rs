@@ -5,7 +5,7 @@
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
 use fe_sim::{
-    run_scheme, run_scheme_replayed, EngineScheme, Experiment, RunLength, SamplingSpec, SchemeSpec,
+    run_cells, CellRun, CellSource, EngineScheme, Experiment, RunLength, SamplingSpec, SchemeSpec,
     Simulator, SweepReport,
 };
 use fe_trace::Trace;
@@ -60,15 +60,24 @@ fn sampled_mpki_matches_full_detail_on_named_workloads() {
         let name = wl.name.clone();
         let program = wl.scaled(0.05).build();
         for scheme in [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()] {
-            let full = run_scheme(&program, &scheme, &machine, LEN, 0x5407);
-            let sampled =
-                fe_sim::run_scheme_sampled(&program, &scheme, &machine, LEN, SPEC, 0x5407);
+            let run = |run: CellRun| {
+                let cells = run_cells(
+                    &program,
+                    CellSource::Live,
+                    std::slice::from_ref(&scheme),
+                    &machine,
+                    run,
+                    0x5407,
+                );
+                cells[0].clone()
+            };
+            let full = run(CellRun::full(LEN)).stats;
+            let sampled = run(CellRun::sampled(LEN, SPEC));
             assert!(
-                sampled.interval_count() > 1,
+                sampled.sampled.expect("sampled cell").interval_count() > 1,
                 "{name}: sampling must measure several intervals"
             );
-            assert!(!sampled.truncated, "{name}: live sources never truncate");
-            assert_within_documented_bounds(&name, &scheme.label(), &full, &sampled.aggregate());
+            assert_within_documented_bounds(&name, &scheme.label(), &full, &sampled.stats);
         }
     }
 }
@@ -148,22 +157,22 @@ fn truncated_trace_degrades_into_reported_stall_not_panic() {
     assert!(ideal.source_exhausted());
     assert!(stats.instructions < 500_000);
 
-    // The one-cell sweep wrapper still fails loudly: a sweep cell
-    // measured over a partial stream would be silently wrong.
+    // The cell entry point still fails loudly: a sweep cell measured
+    // over a partial stream would be silently wrong.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_scheme_replayed(
+        run_cells(
             &program,
-            &trace,
-            &SchemeSpec::shotgun(),
+            CellSource::Trace(&trace),
+            &[SchemeSpec::shotgun()],
             &machine,
-            RunLength {
+            CellRun::full(RunLength {
                 warmup: 20_000,
                 measure: 500_000,
-            },
+            }),
             9,
         )
     }));
-    assert!(result.is_err(), "run_scheme_replayed re-checks loudly");
+    assert!(result.is_err(), "run_cells re-checks loudly");
 }
 
 proptest! {

@@ -6,7 +6,7 @@
 
 use fe_cfg::{workloads, Executor};
 use fe_model::{BlockSource, MachineConfig};
-use fe_sim::{run_scheme, run_scheme_replayed, RunLength, SchemeSpec};
+use fe_sim::{run_cells, CellRun, CellSource, RunLength, SchemeSpec};
 use fe_trace::Trace;
 use proptest::prelude::*;
 
@@ -14,6 +14,28 @@ const LEN: RunLength = RunLength {
     warmup: 15_000,
     measure: 40_000,
 };
+
+/// Live and replayed statistics of one full-detail cell.
+fn live_and_replayed(
+    program: &fe_cfg::Program,
+    trace: &Trace,
+    spec: &SchemeSpec,
+    seed: u64,
+) -> (fe_model::SimStats, fe_model::SimStats) {
+    let machine = MachineConfig::table3();
+    let run = |source| {
+        let cells = run_cells(
+            program,
+            source,
+            std::slice::from_ref(spec),
+            &machine,
+            CellRun::full(LEN),
+            seed,
+        );
+        cells[0].stats.clone()
+    };
+    (run(CellSource::Live), run(CellSource::Trace(trace)))
+}
 
 fn named_workload(index: usize) -> fe_cfg::WorkloadSpec {
     let all = workloads::all();
@@ -37,8 +59,7 @@ fn every_named_workload_replays_identically() {
         // And simulating the replayed stream is bit-identical to
         // simulating live.
         for scheme in [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()] {
-            let live = run_scheme(&program, &scheme, &machine, LEN, 0x5407);
-            let replayed = run_scheme_replayed(&program, &trace, &scheme, &machine, LEN, 0x5407);
+            let (live, replayed) = live_and_replayed(&program, &trace, &scheme, 0x5407);
             assert_eq!(live, replayed, "{name} under {}", scheme.label());
         }
     }
@@ -64,8 +85,7 @@ proptest! {
         }
 
         let spec = SchemeSpec::boomerang();
-        let live = run_scheme(&program, &spec, &machine, LEN, seed);
-        let replayed = run_scheme_replayed(&program, &trace, &spec, &machine, LEN, seed);
+        let (live, replayed) = live_and_replayed(&program, &trace, &spec, seed);
         prop_assert_eq!(live, replayed);
     }
 
