@@ -118,7 +118,8 @@ pub fn accepted_message(id: JobId, cells: usize) -> Json {
 }
 
 /// One completed cell. The `batch_id` key is additive and emitted
-/// only for batched cells, so clients that predate it are unaffected.
+/// only for batched cells, so clients that predate it are unaffected;
+/// cells carry the same id exactly when they shared one decode pass.
 pub fn progress_message(p: &JobProgress) -> Json {
     let mut members = vec![
         ("type".into(), Json::Str("progress".into())),

@@ -2,17 +2,20 @@
 //! [`protocol`](crate::protocol), and forwards jobs to an
 //! [`ExperimentService`].
 //!
-//! The accept loop polls a shutdown flag between connections (the
-//! listener runs non-blocking with a short sleep), so a signal
-//! delivered to the daemon stops new connections promptly while the
-//! service layer finishes the in-flight cell and flushes its
-//! checkpoint. One connection carries one job; per-connection handler
-//! threads stream progress as the worker produces it.
+//! A dedicated acceptor thread blocks in `accept()`, so a connection is
+//! taken the moment it arrives. The thread in [`Server::run_until`]
+//! polls the caller's shutdown flag; once the flag is set it wakes the
+//! acceptor with a connection to the listener's own port, then drains:
+//! the service layer finishes the in-flight cell and flushes its
+//! checkpoint, and the connection handlers are joined. One connection
+//! carries one job; per-connection handler threads stream progress as
+//! the worker produces it.
 
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::protocol::{
@@ -21,8 +24,16 @@ use crate::protocol::{
 };
 use crate::service::{ExperimentService, JobSpec, JobState};
 
-/// How often the accept loop re-checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How often [`Server::run_until`] re-checks the caller's shutdown
+/// flag; it returns about this long after the flag is set, plus the
+/// drain.
+const STOP_POLL: Duration = Duration::from_millis(25);
+
+/// How long the shutdown wake-up connection may take to establish.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Connection handlers still to join at shutdown.
+type Handlers = Arc<Mutex<Vec<JoinHandle<()>>>>;
 
 /// A bound TCP server over an experiment service.
 pub struct Server {
@@ -35,41 +46,101 @@ impl Server {
     /// bench smoke do).
     pub fn bind(service: Arc<ExperimentService>, addr: &str) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Server { listener, service })
     }
 
     /// The bound address, e.g. to print or to hand to a client.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
     /// Serves until `stop` becomes true, then drains: stops accepting,
     /// shuts the service down gracefully (in-flight cell completes and
-    /// persists), and joins the connection handlers.
+    /// persists), and joins the connection handlers. Returns at once,
+    /// drained, when the acceptor thread cannot be started.
     pub fn run_until(&self, stop: &AtomicBool) {
-        let mut handlers = Vec::new();
-        while !stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((conn, _peer)) => {
-                    let service = Arc::clone(&self.service);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_connection(conn, &service)
-                    }));
+        let closing = Arc::new(AtomicBool::new(false));
+        let handlers = Handlers::default();
+        let acceptor = self.listener.try_clone().and_then(|listener| {
+            let closing = Arc::clone(&closing);
+            let service = Arc::clone(&self.service);
+            let handlers = Arc::clone(&handlers);
+            std::thread::Builder::new()
+                .name("fe-serve-accept".into())
+                .spawn(move || accept_until(&listener, &closing, &service, &handlers))
+        });
+        match acceptor {
+            Ok(acceptor) => {
+                while !stop.load(Ordering::SeqCst) {
+                    std::thread::sleep(STOP_POLL);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) => {
-                    eprintln!("fe-serve: accept failed: {e}");
-                    std::thread::sleep(ACCEPT_POLL);
+                closing.store(true, Ordering::SeqCst);
+                match self.wake_acceptor() {
+                    Ok(()) => {
+                        let _ = acceptor.join();
+                    }
+                    // Left detached: it exits on its next connection.
+                    Err(e) => eprintln!("fe-serve: cannot wake the acceptor: {e}"),
                 }
             }
-            handlers.retain(|h| !h.is_finished());
+            Err(e) => eprintln!("fe-serve: cannot start the acceptor: {e}"),
         }
         self.service.shutdown();
+        let handlers = std::mem::take(
+            &mut *handlers
+                .lock()
+                .expect("handler list poisoned: the acceptor panicked"),
+        );
         for handler in handlers {
             let _ = handler.join();
+        }
+    }
+
+    /// Unblocks the acceptor's `accept()` by connecting to the
+    /// listener's own port — over loopback when bound to the
+    /// unspecified address, which accepts but cannot be dialled.
+    fn wake_acceptor(&self) -> io::Result<()> {
+        let mut addr = self.listener.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        TcpStream::connect_timeout(&addr, WAKE_TIMEOUT).map(drop)
+    }
+}
+
+/// The acceptor: takes connections as they arrive and hands each to its
+/// own handler thread, until `closing` is seen after an accept (the
+/// shutdown wake-up, or a client that arrived too late, is dropped).
+fn accept_until(
+    listener: &TcpListener,
+    closing: &AtomicBool,
+    service: &Arc<ExperimentService>,
+    handlers: &Handlers,
+) {
+    loop {
+        let accepted = listener.accept();
+        if closing.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((conn, _peer)) => {
+                let service = Arc::clone(service);
+                let handler = std::thread::spawn(move || handle_connection(conn, &service));
+                let mut handlers = handlers
+                    .lock()
+                    .expect("handler list poisoned: the drain panicked");
+                handlers.retain(|h| !h.is_finished());
+                handlers.push(handler);
+            }
+            Err(e) => {
+                eprintln!("fe-serve: accept failed: {e}");
+                // Transient (e.g. out of descriptors): back off rather
+                // than spin.
+                std::thread::sleep(STOP_POLL);
+            }
         }
     }
 }

@@ -16,6 +16,10 @@
 //! A killed daemon resumes on restart: `open` re-enqueues every
 //! pending job spec it finds, and their completed cells are served
 //! from the cache instead of recomputed.
+//!
+//! The worker thread is started lazily: by `open` when it re-enqueued
+//! pending specs, otherwise by the first `submit`. A service opened
+//! and shut down without a job never spawns it.
 
 use std::collections::HashMap;
 use std::fs;
@@ -213,7 +217,8 @@ pub struct JobProgress {
     /// Served from the result cache instead of simulated.
     pub cached: bool,
     /// Batch-group id when the cell ran on the sweep's shared-decode
-    /// batch engine (cells of one group share one trace pass); `None`
+    /// batch engine (cells share an id exactly when they shared one
+    /// trace pass; a workload may run as several groups); `None`
     /// for serial, cached, and mix cells. Additive — absent on the
     /// wire for non-batched cells.
     pub batch_id: Option<u64>,
@@ -241,6 +246,7 @@ struct QueuedJob {
 /// itself, so dropping the last external [`ExperimentService`] handle
 /// closes the queue and lets the worker exit.
 struct Worker {
+    rx: mpsc::Receiver<QueuedJob>,
     jobs_dir: PathBuf,
     cache: Arc<DiskCellStore>,
     cache_max_bytes: Option<u64>,
@@ -259,7 +265,39 @@ pub struct ExperimentService {
     table: Arc<JobTable>,
     next_id: Mutex<JobId>,
     draining: Arc<AtomicBool>,
-    worker: Mutex<Option<JoinHandle<()>>>,
+    worker: Mutex<WorkerSlot>,
+}
+
+/// The worker thread starts with the first job, so a service that is
+/// opened and shut down without work never spawns it.
+enum WorkerSlot {
+    /// Not started yet: everything the thread will own.
+    Idle(Worker),
+    /// Running (or finished, awaiting its join).
+    Started(JoinHandle<()>),
+    /// Joined by [`ExperimentService::shutdown`].
+    Stopped,
+}
+
+impl WorkerSlot {
+    /// Spawns the worker unless it already runs. Fails when the spawn
+    /// fails, or failed before (the queue then has no consumer).
+    fn start(&mut self) -> io::Result<()> {
+        match std::mem::replace(self, WorkerSlot::Stopped) {
+            WorkerSlot::Idle(worker) => {
+                let handle = std::thread::Builder::new()
+                    .name("fe-serve-worker".into())
+                    .spawn(move || worker.work())?;
+                *self = WorkerSlot::Started(handle);
+                Ok(())
+            }
+            WorkerSlot::Stopped => Err(io::Error::other("worker has exited")),
+            started => {
+                *self = started;
+                Ok(())
+            }
+        }
+    }
 }
 
 impl ExperimentService {
@@ -322,6 +360,7 @@ impl ExperimentService {
         }
         pending.sort_by_key(|(id, _)| *id);
         let next_id = pending.last().map_or(1, |(id, _)| id + 1);
+        let resuming = !pending.is_empty();
         {
             let mut states = table.states.lock().unwrap();
             for (id, spec) in pending {
@@ -335,17 +374,19 @@ impl ExperimentService {
             }
         }
 
-        let worker = Worker {
+        let mut worker = WorkerSlot::Idle(Worker {
+            rx,
             jobs_dir: jobs_dir.clone(),
             cache: Arc::clone(&cache),
             cache_max_bytes,
             snapshots: Arc::clone(&snapshots),
             table: Arc::clone(&table),
             draining: Arc::clone(&draining),
-        };
-        let handle = std::thread::Builder::new()
-            .name("fe-serve-worker".into())
-            .spawn(move || worker.work(rx))?;
+        });
+        if resuming {
+            // Re-enqueued specs run now, without waiting for a submit.
+            worker.start()?;
+        }
 
         Ok(ExperimentService {
             jobs_dir,
@@ -355,7 +396,7 @@ impl ExperimentService {
             table,
             next_id: Mutex::new(next_id),
             draining,
-            worker: Mutex::new(Some(handle)),
+            worker: Mutex::new(worker),
         })
     }
 
@@ -372,6 +413,11 @@ impl ExperimentService {
         let Some(tx) = queue.as_ref() else {
             return Err("service is shut down".into());
         };
+        self.worker
+            .lock()
+            .unwrap()
+            .start()
+            .map_err(|e| format!("starting the worker: {e}"))?;
         let id = {
             let mut next = self.next_id.lock().unwrap();
             let id = *next;
@@ -437,8 +483,8 @@ impl ExperimentService {
         self.draining.store(true, Ordering::SeqCst);
         // Dropping the sender ends the worker's queue loop.
         *self.queue.lock().unwrap() = None;
-        let handle = self.worker.lock().unwrap().take();
-        if let Some(handle) = handle {
+        let slot = std::mem::replace(&mut *self.worker.lock().unwrap(), WorkerSlot::Stopped);
+        if let WorkerSlot::Started(handle) = slot {
             let _ = handle.join();
         }
     }
@@ -453,8 +499,8 @@ impl Drop for ExperimentService {
 }
 
 impl Worker {
-    fn work(&self, rx: mpsc::Receiver<QueuedJob>) {
-        while let Ok(job) = rx.recv() {
+    fn work(&self) {
+        while let Ok(job) = self.rx.recv() {
             if self.draining.load(Ordering::SeqCst) {
                 // Drain without running: the spec stays on disk for
                 // the next start.

@@ -137,9 +137,12 @@ pub struct ProgressEvent {
     /// instead of being simulated.
     pub cached: bool,
     /// When the cell ran on the [batch engine](crate::batch), the id of
-    /// its batch group (cells sharing one decode pass share the id);
-    /// `None` for lone, cached, and mix cells. Additive: streaming
-    /// clients that predate it see the field as simply absent.
+    /// its batch group: cells share an id exactly when they shared one
+    /// decode pass, so a workload whose cells were cut into several
+    /// groups (see [`Experiment::threads`]) shows one id per group. Ids
+    /// are unique within a sweep and otherwise opaque. `None` for lone,
+    /// cached, and mix cells. Additive: streaming clients that predate
+    /// it see the field as simply absent.
     pub batch_id: Option<u64>,
 }
 
@@ -247,8 +250,11 @@ impl Experiment {
         self
     }
 
-    /// Sets the worker-thread count. `1` runs cells inline; results
-    /// are identical at any value.
+    /// Sets the worker-thread count; results are identical at any
+    /// value. Threads take batch groups: one per workload when the
+    /// sweep has at least as many workloads as threads, otherwise each
+    /// workload's uncached cells are cut into `ceil(threads /
+    /// workloads)` near-equal groups so no thread idles.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -493,11 +499,6 @@ impl Experiment {
         let mix_jobs = mixes.len() * n_schemes;
         // Total *cells* — what progress events and `Interrupted` count.
         let total = mix_jobs + workloads.len() * n_schemes;
-        // A single-context workload is ONE job covering all its scheme
-        // cells: its uncached cells run as a shared-decode batch (see
-        // the `batch` module) instead of decoding the trace once per
-        // scheme. A mix keeps one job per (mix, scheme).
-        let jobs = mix_jobs + workloads.len();
 
         // Cache consult: resolve every single-workload cell's content
         // address and load whatever the store already holds. Mix cells
@@ -528,6 +529,43 @@ impl Experiment {
             })
             .collect();
 
+        // The parallel unit is one batch group. A mix is one job per
+        // (mix, scheme). A single-context workload's uncached cells run
+        // as shared-decode batches (see the `batch` module) instead of
+        // decoding the trace once per scheme, cut into
+        // `ceil(threads / workloads)` near-equal groups (never more
+        // groups than cells) so a sweep with fewer workloads than
+        // threads still fills every thread. With at least as many
+        // workloads as threads that is one group per workload. The
+        // rule reads only the sweep's shape, and a batch of any subset
+        // of cells is byte-identical to the cells run alone, so the
+        // report cannot tell how the cells were grouped. A workload's
+        // first group also reports its cached cells.
+        struct Group {
+            wi: usize,
+            cached: Vec<usize>,
+            cells: Vec<usize>,
+        }
+        let split = threads.div_ceil(workloads.len().max(1));
+        let mut groups: Vec<Group> = Vec::new();
+        for wi in 0..workloads.len() {
+            let (mut hits, uncached): (Vec<usize>, Vec<usize>) =
+                (0..n_schemes).partition(|&si| cached[mix_jobs + wi * n_schemes + si].is_some());
+            let parts = split.min(uncached.len()).max(1);
+            for part in 0..parts {
+                let (lo, hi) = (
+                    part * uncached.len() / parts,
+                    (part + 1) * uncached.len() / parts,
+                );
+                groups.push(Group {
+                    wi,
+                    cached: std::mem::take(&mut hits),
+                    cells: uncached[lo..hi].to_vec(),
+                });
+            }
+        }
+        let jobs = mix_jobs + groups.len();
+
         // Record once, replay many: one executor walk per workload
         // feeds every scheme cell. Recorded length covers the run plus
         // the pipeline's bounded lookahead, so no scheme can outrun it.
@@ -554,8 +592,8 @@ impl Experiment {
         let completed = AtomicUsize::new(0);
         let computed = AtomicU64::new(0);
         let served = AtomicU64::new(0);
-        // Each job yields the stats of its cells (one per scheme for a
-        // single workload, one per member for a mix), plus the sampling
+        // Each job yields the stats of its cells (one per computed cell
+        // of a group, one per member for a mix), plus the sampling
         // summary when the sweep runs sampled. `None` slots are jobs a
         // set cancel flag kept workers from claiming.
         type CellResult = (SimStats, Option<CellSampling>);
@@ -609,50 +647,51 @@ impl Experiment {
                     return stats;
                 }
 
-                let wi = job - mix_jobs;
-                let name = workloads[wi].name.as_str();
-                let mut cells: Vec<Option<CellResult>> = vec![None; n_schemes];
-                let mut uncached: Vec<usize> = Vec::new();
-                for si in 0..n_schemes {
-                    match &cached[mix_jobs + wi * n_schemes + si] {
-                        Some(value) => {
-                            cells[si] = Some((value.stats.clone(), value.sampling.clone()));
-                            served.fetch_add(1, Ordering::Relaxed);
-                            emit(name, si, true, None);
-                        }
-                        None => uncached.push(si),
-                    }
+                let Group {
+                    wi,
+                    cached: hits,
+                    cells,
+                } = &groups[job - mix_jobs];
+                let name = workloads[*wi].name.as_str();
+                for &si in hits {
+                    served.fetch_add(1, Ordering::Relaxed);
+                    emit(name, si, true, None);
                 }
-                // With the batch engine on, the uncached cells go to
+                // With the batch engine on, the group's cells go to
                 // `run_cells` together, which batches them when sharing
-                // a decode pays; with it off, one at a time.
-                let width = if batch { uncached.len().max(1) } else { 1 };
-                for group in uncached.chunks(width) {
-                    let trace = traces[wi]
+                // a decode pays; with it off, one at a time. The job
+                // index numbers the group, so cells share a `batch_id`
+                // exactly when they share a decode pass.
+                let width = if batch { cells.len().max(1) } else { 1 };
+                let mut out = Vec::with_capacity(cells.len());
+                for chunk in cells.chunks(width) {
+                    let trace = traces[*wi]
                         .as_ref()
                         .expect("trace recorded for every workload with uncached cells");
                     let specs: Vec<SchemeSpec> =
-                        group.iter().map(|&si| schemes[si].clone()).collect();
+                        chunk.iter().map(|&si| schemes[si].clone()).collect();
                     let source = CellSource::Trace(trace);
-                    let stats = run_cells(&programs[wi], source, &specs, &machine, run, seed);
+                    let stats = run_cells(&programs[*wi], source, &specs, &machine, run, seed);
                     let batch_id = run.batches(specs.len()).then_some(job as u64);
-                    for (&si, cell) in group.iter().zip(stats) {
+                    for (&si, cell) in chunk.iter().zip(stats) {
                         let cell = (cell.stats, cell.sampled.as_ref().map(CellSampling::of));
                         store_cell(mix_jobs + wi * n_schemes + si, &cell);
-                        cells[si] = Some(cell);
+                        out.push(cell);
                         emit(name, si, false, batch_id);
                     }
                 }
-                cells
-                    .into_iter()
-                    .map(|c| c.expect("every scheme cell resolved"))
-                    .collect()
+                out
             });
+        // Cells each finished job resolved: a mix job counts once, a
+        // group the cells it reported, cached and computed.
         let done: usize = results
             .iter()
             .enumerate()
             .filter(|(_, r)| r.is_some())
-            .map(|(j, _)| if j < mix_jobs { 1 } else { n_schemes })
+            .map(|(job, _)| match job.checked_sub(mix_jobs) {
+                None => 1,
+                Some(g) => groups[g].cached.len() + groups[g].cells.len(),
+            })
             .sum();
         if done < total {
             return Err(Interrupted {
@@ -660,16 +699,32 @@ impl Experiment {
                 total,
             });
         }
-        let results: Vec<Vec<CellResult>> = results
+        let mut results: Vec<Vec<CellResult>> = results
             .into_iter()
             .map(|r| r.expect("all jobs completed"))
+            .collect();
+        // Slot every single-context cell back by (workload, scheme):
+        // cached values first, then each group's computed cells.
+        let mut slots: Vec<Option<CellResult>> = cached[mix_jobs..]
+            .iter()
+            .map(|c| c.as_ref().map(|v| (v.stats.clone(), v.sampling.clone())))
+            .collect();
+        for (group, computed) in groups.iter().zip(results.split_off(mix_jobs)) {
+            for (&si, cell) in group.cells.iter().zip(computed) {
+                slots[group.wi * n_schemes + si] = Some(cell);
+            }
+        }
+        let single: Vec<CellResult> = slots
+            .into_iter()
+            .map(|c| c.expect("every scheme cell resolved"))
             .collect();
 
         let mut cells = Vec::new();
         for (wi, wl) in workloads.iter().enumerate() {
-            let base = baseline_idx.map(|bi| &results[mix_jobs + wi][bi].0);
+            let row = &single[wi * n_schemes..(wi + 1) * n_schemes];
+            let base = baseline_idx.map(|bi| &row[bi].0);
             for (si, scheme) in schemes.iter().enumerate() {
-                let (cell_stats, cell_sampling) = &results[mix_jobs + wi][si];
+                let (cell_stats, cell_sampling) = &row[si];
                 cells.push(SweepCell {
                     workload: WorkloadId(wl.name.clone()),
                     scheme: scheme.clone(),

@@ -3,7 +3,11 @@
 //! `SweepReport` JSON, cell for cell — across workloads, scheme sets,
 //! seeds, and run shapes. Lone cells are the reference (they run none
 //! of the batch accelerations), so these tests are what licenses
-//! batching by default.
+//! batching by default — and cutting one workload's cells into several
+//! groups to fill idle threads.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
@@ -118,4 +122,100 @@ proptest! {
         };
         prop_assert_eq!(run(true), run(false));
     }
+}
+
+/// One workload's cells under the split rule: fewer workloads than
+/// threads cut the workload's cells into several batch groups.
+fn lone_workload(threads: usize, batch: bool) -> Experiment {
+    Experiment::new(MachineConfig::table3())
+        .workload(workloads::nutch().scaled(0.1))
+        .schemes(all_schemes().into_iter().take(5))
+        .len(LEN)
+        .seed(0x5407)
+        .threads(threads)
+        .batch(batch)
+}
+
+#[test]
+fn lone_workload_report_is_byte_identical_however_its_cells_are_grouped() {
+    let reference = lone_workload(1, false).run().to_json();
+    for threads in [1, 2, 4] {
+        for batch in [true, false] {
+            assert_eq!(
+                lone_workload(threads, batch).run().to_json(),
+                reference,
+                "threads({threads}), batch({batch}) must match the serial reference"
+            );
+        }
+    }
+}
+
+/// `(workload, scheme label, batch_id)` of every progress event.
+fn progress_of(experiment: Experiment) -> Vec<(String, String, Option<u64>)> {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    experiment
+        .on_progress(move |e| {
+            sink.lock().unwrap().push((
+                e.workload.as_str().to_string(),
+                e.scheme.clone(),
+                e.batch_id,
+            ))
+        })
+        .run();
+    let events = seen.lock().unwrap().clone();
+    events
+}
+
+#[test]
+fn split_groups_of_one_workload_carry_distinct_batch_ids() {
+    let events = progress_of(lone_workload(2, true));
+    let mut groups: BTreeMap<u64, BTreeSet<String>> = BTreeMap::new();
+    for (_, label, batch_id) in &events {
+        let id = batch_id.expect("every cell of a 2- or 3-cell group is batched");
+        assert!(
+            groups.entry(id).or_default().insert(label.clone()),
+            "cell {label} reported twice"
+        );
+    }
+    assert!(
+        groups.len() >= 2,
+        "one workload at threads(2) must run as at least two groups, got {groups:?}"
+    );
+    let union: BTreeSet<String> = groups.values().flatten().cloned().collect();
+    assert_eq!(
+        union.len(),
+        events.len(),
+        "the groups must be disjoint and cover every cell"
+    );
+    assert_eq!(events.len(), 5);
+}
+
+#[test]
+fn sweep_with_as_many_workloads_as_threads_keeps_one_batch_id_per_workload() {
+    let all = workloads::all();
+    assert_eq!(all.len(), 6);
+    let events = progress_of(
+        Experiment::new(MachineConfig::table3())
+            .workloads(all.into_iter().map(|w| w.scaled(0.05)))
+            .schemes([SchemeSpec::NoPrefetch, SchemeSpec::shotgun()])
+            .len(RunLength {
+                warmup: 10_000,
+                measure: 30_000,
+            })
+            .seed(3)
+            .threads(2),
+    );
+    let mut ids: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
+    for (workload, _, batch_id) in events {
+        ids.entry(workload)
+            .or_default()
+            .insert(batch_id.expect("two cells per workload batch together"));
+    }
+    assert_eq!(ids.len(), 6);
+    for (workload, set) in &ids {
+        assert_eq!(set.len(), 1, "{workload} must run as one group: {set:?}");
+    }
+    let distinct: BTreeSet<u64> = ids.values().flatten().copied().collect();
+    assert_eq!(distinct.len(), 6, "workloads must not share a batch id");
 }

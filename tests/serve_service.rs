@@ -3,6 +3,8 @@
 //! in `serve_tcp.rs`).
 
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::time::Duration;
 
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
@@ -154,5 +156,51 @@ fn malformed_submissions_are_refused_politely() {
     let err = JobSpec::from_json(&doc).expect_err("unknown workload");
     assert!(err.contains("no-such-workload"));
     drop(service);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn reopened_service_runs_a_pending_spec_without_a_submit() {
+    // A spec left pending by an earlier process, with no checkpoint:
+    // opening the root must start the worker and run it to completion.
+    let root = tmp_root("pending");
+    std::fs::create_dir_all(root.join("jobs")).unwrap();
+    std::fs::write(
+        root.join("jobs").join("7.json"),
+        small_job().to_json().render(),
+    )
+    .unwrap();
+    let service = ExperimentService::open(&root).expect("opens");
+    let state = service.wait(7).expect("pending spec re-enqueued");
+    let JobState::Done(report) = state else {
+        panic!("the pending job must complete, got {state:?}");
+    };
+    assert_eq!(report.as_str(), &control_report());
+    assert!(root.join("jobs").join("7.report.json").exists());
+    assert!(!root.join("jobs").join("7.json").exists());
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn service_without_jobs_shuts_down_cleanly() {
+    let root = tmp_root("idle");
+    let (tx, done) = mpsc::channel();
+    let dir = root.clone();
+    std::thread::spawn(move || {
+        let service = ExperimentService::open(&dir).expect("opens");
+        service.shutdown();
+        assert!(service.is_draining());
+        service.shutdown();
+        drop(service);
+        let _ = tx.send(());
+    });
+    done.recv_timeout(Duration::from_secs(30))
+        .expect("open then shutdown with no job must return promptly");
+    assert_eq!(
+        std::fs::read_dir(root.join("jobs")).unwrap().count(),
+        0,
+        "an idle service leaves no job files"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -1,13 +1,12 @@
-//! TCP protocol round trip against a live `fe-serve` daemon core:
-//! a repeated submission must be a 100% cache hit with a report
-//! byte-identical to the computed one.
-//!
-//! Lives in its own file (= its own test process) so its sweeps cannot
-//! race the process-global counter deltas asserted in
-//! `serve_service.rs`.
+//! TCP protocol round trip against a live `fe-serve` daemon core: a
+//! repeated submission must be a 100% cache hit with a report
+//! byte-identical to the computed one. Also pins that
+//! `Server::run_until` returns once its stop flag is set, whether or
+//! not a connection was ever made and whatever address it is bound to.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use fe_serve::{submit_job, ExperimentService, JobSpec, JobWorkload, Server};
 use fe_sim::{RunLength, SchemeSpec};
@@ -25,15 +24,8 @@ const LEN: RunLength = RunLength {
 
 #[test]
 fn tcp_round_trip_serves_second_submission_from_cache() {
-    let root = tmp_root("tcp");
-    let service = Arc::new(ExperimentService::open(&root).expect("opens"));
-    let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("binds");
-    let addr = server.local_addr().expect("bound").to_string();
-    let stop = Arc::new(AtomicBool::new(false));
-    let server_thread = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || server.run_until(&stop))
-    };
+    let (running, root) = serve("tcp", "127.0.0.1:0");
+    let addr = running.addr.clone();
 
     let spec = JobSpec {
         workloads: vec![JobWorkload {
@@ -64,7 +56,84 @@ fn tcp_round_trip_serves_second_submission_from_cache() {
     );
     assert!(second.job_id > first.job_id);
 
-    stop.store(true, Ordering::SeqCst);
-    server_thread.join().expect("server drains");
+    running.stop_within_bound();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A served root: the server thread plus its stop flag.
+struct Running {
+    addr: String,
+    stop: Arc<AtomicBool>,
+    returned: mpsc::Receiver<()>,
+}
+
+/// Opens a service on a fresh root and serves it on `bind` from a
+/// thread that reports when `run_until` returns.
+fn serve(tag: &str, bind: &str) -> (Running, std::path::PathBuf) {
+    let root = tmp_root(tag);
+    let service = Arc::new(ExperimentService::open(&root).expect("opens"));
+    let server = Server::bind(service, bind).expect("binds");
+    let addr = server.local_addr().expect("bound").to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (tx, returned) = mpsc::channel();
+    let flag = Arc::clone(&stop);
+    std::thread::spawn(move || {
+        server.run_until(&flag);
+        let _ = tx.send(());
+    });
+    (
+        Running {
+            addr,
+            stop,
+            returned,
+        },
+        root,
+    )
+}
+
+impl Running {
+    /// Sets the stop flag and fails the test unless `run_until` returns
+    /// within a generous bound (a hang fails instead of stalling).
+    fn stop_within_bound(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.returned
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run_until must return after stop is set");
+    }
+}
+
+#[test]
+fn run_until_returns_when_no_connection_was_ever_made() {
+    let (running, root) = serve("stop-idle", "127.0.0.1:0");
+    running.stop_within_bound();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn run_until_returns_after_a_served_job() {
+    let (running, root) = serve("stop-served", "127.0.0.1:0");
+    let spec = JobSpec {
+        workloads: vec![JobWorkload {
+            name: "nutch".into(),
+            scale: Some(0.05),
+        }],
+        schemes: vec![SchemeSpec::NoPrefetch],
+        len: LEN,
+        seed: 9,
+        sampling: None,
+        threads: 1,
+    };
+    let outcome = submit_job(&running.addr, &spec).expect("job served");
+    assert_eq!(outcome.progress.len(), 1);
+    running.stop_within_bound();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn run_until_returns_when_bound_to_the_unspecified_address() {
+    // Bound to 0.0.0.0 the shutdown wake-up must dial loopback.
+    let (running, root) = serve("stop-any", "0.0.0.0:0");
+    assert!(running.addr.starts_with("0.0.0.0:"), "{}", running.addr);
+    running.stop_within_bound();
     let _ = std::fs::remove_dir_all(&root);
 }
