@@ -1,9 +1,9 @@
 //! The rule catalog.
 //!
 //! Every rule encodes a determinism or bit-exactness invariant the
-//! repo's headline claims rest on (byte-identical serial-vs-batch
-//! stats, thread-count-invariant report JSON, content-addressed cache
-//! safety). Each is documented with the invariant it protects; the
+//! repo's headline claims rest on (byte-identical
+//! accelerated-vs-reference stats, thread-count-invariant report JSON,
+//! content-addressed cache safety). Each is documented with the invariant it protects; the
 //! README's "Static guarantees" section is generated from the same
 //! table.
 

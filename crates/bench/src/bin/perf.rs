@@ -11,37 +11,34 @@
 //! Modes measured per cell:
 //!
 //! * `full` — live execution: the executor walk feeds the cycle-level
-//!   pipeline directly.
+//!   pipeline directly, accelerations off.
 //! * `replay` — trace-driven: the same stream decoded from an
-//!   `fe-trace` recording (recorded once per workload, untimed). This
-//!   is the *serial* reference the batch speedup is judged against.
+//!   `fe-trace` recording (recorded once per workload, untimed), with
+//!   the accelerations off. This is the *reference* column the `accel`
+//!   speedup is judged against.
 //! * `sampled` — interval sampling with functional warming over the
-//!   recorded trace (the paper-scale mode). Its MIPS counts *covered*
-//!   instructions — skip + warm + detail — which is precisely why
-//!   sampling exists.
-//! * `batch` — the shared-decode batch engine: one pass over the
-//!   recording drives every scheme's pipeline in lockstep. Per-cell
-//!   numbers are *effective* MIPS (the group's wall clock split evenly
-//!   across its cells), so the batch column is directly comparable to
-//!   the serial `replay` column for the same cell.
-//! * `batch-sampled` — the batch engine in sampled mode, against the
-//!   serial `sampled` column.
+//!   recorded trace (the paper-scale mode), accelerations off. Its MIPS
+//!   counts *covered* instructions — skip + warm + detail — which is
+//!   precisely why sampling exists.
+//! * `accel` — `replay` with the accelerations (TAGE fold scratch,
+//!   quiet-span skip) on: how every sweep cell runs.
+//! * `accel-sampled` — `sampled` with the accelerations on.
 //!
 //! Wall-clock numbers live only in `BENCH_perf.json`. Deterministic
 //! sweep reports (`BENCH_fig*.json`, the pinned engine fixture) carry
 //! no timing fields, so this harness can run anywhere without
 //! perturbing byte-identical report diffs. As a self-check, the harness
-//! asserts that `full`, `replay`, and `batch` produce bit-identical
-//! statistics (and `sampled` vs `batch-sampled` likewise).
+//! asserts that `full`, `replay`, and `accel` produce bit-identical
+//! statistics (and `sampled` vs `accel-sampled` likewise).
 //!
 //! Knobs beyond the standard set (`SHOTGUN_INSTRS`/`_WARMUP`/`_SCALE`,
 //! `SHOTGUN_JSON_DIR`, `SHOTGUN_SAMPLING*`):
 //!
 //! * `SHOTGUN_PERF_MIN_MIPS=<x>` — exit non-zero when the gated MIPS
 //!   pool falls below `x` (the CI regression floor). The gate prefers
-//!   the `batch` pool — the throughput sweeps actually run at — and
+//!   the `accel` pool — the throughput sweeps actually run at — and
 //!   falls back to `full`, then to the first enabled mode.
-//! * `SHOTGUN_PERF_MODES=full,replay,sampled,batch,batch-sampled` —
+//! * `SHOTGUN_PERF_MODES=full,replay,sampled,accel,accel-sampled` —
 //!   subset of modes to run.
 
 use std::time::Instant;
@@ -71,7 +68,7 @@ fn schemes() -> Vec<SchemeSpec> {
     ]
 }
 
-const ALL_MODES: [&str; 5] = ["full", "replay", "sampled", "batch", "batch-sampled"];
+const ALL_MODES: [&str; 5] = ["full", "replay", "sampled", "accel", "accel-sampled"];
 
 fn enabled_modes() -> Vec<String> {
     std::env::var("SHOTGUN_PERF_MODES")
@@ -113,7 +110,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let has = |m: &str| modes.iter().any(|x| x == m);
     let covered = len.warmup + len.measure;
     let workloads: Vec<WorkloadSpec> = suite();
     let specs = schemes();
@@ -125,13 +121,28 @@ fn main() {
         let trace = (modes.iter().any(|m| m != "full"))
             .then(|| Trace::record(&program, SEED, len.trace_instrs(&machine)));
         let replayed = || CellSource::Trace(trace.as_ref().expect("trace recorded"));
-        let sampled_run = CellRun::sampled(len, sampling);
-        let mut replay_stats: Vec<Option<CellStats>> = vec![None; specs.len()];
-        let mut sampled_stats: Vec<Option<CellStats>> = vec![None; specs.len()];
-        for (si, spec) in specs.iter().enumerate() {
-            let mut full_stats: Option<CellStats> = None;
-            let lone = |source: CellSource, run: CellRun| {
-                run_cells(
+        let reference = |run: CellRun<'static>| CellRun {
+            reference: true,
+            ..run
+        };
+        for spec in &specs {
+            // Stats per mode, for the self-check below.
+            let mut stats: Vec<(&str, CellStats)> = Vec::new();
+            for mode in &modes {
+                let (source, run) = match mode.as_str() {
+                    "full" => (CellSource::Live, reference(CellRun::full(len))),
+                    "replay" => (replayed(), reference(CellRun::full(len))),
+                    "accel" => (replayed(), CellRun::full(len)),
+                    // Sampling needs room for at least one detail
+                    // window; skip the sampled modes on tiny smoke
+                    // lengths.
+                    _ if len.measure < sampling.detail => continue,
+                    "sampled" => (replayed(), reference(CellRun::sampled(len, sampling))),
+                    "accel-sampled" => (replayed(), CellRun::sampled(len, sampling)),
+                    other => unreachable!("mode `{other}` validated at startup"),
+                };
+                let t0 = Instant::now();
+                let cell = run_cells(
                     &program,
                     source,
                     std::slice::from_ref(spec),
@@ -140,105 +151,37 @@ fn main() {
                     SEED,
                 )
                 .pop()
-            };
-            for mode in &modes {
-                let t0 = Instant::now();
-                match mode.as_str() {
-                    "full" => full_stats = lone(CellSource::Live, CellRun::full(len)),
-                    "replay" => replay_stats[si] = lone(replayed(), CellRun::full(len)),
-                    "sampled" => {
-                        // Sampling needs room for at least one detail
-                        // window; skip the mode on tiny smoke lengths.
-                        if len.measure < sampling.detail {
-                            continue;
-                        }
-                        sampled_stats[si] = lone(replayed(), sampled_run);
-                    }
-                    // Batch modes run once per workload group, below.
-                    _ => continue,
-                }
+                .expect("one cell per spec");
                 let wall = t0.elapsed().as_secs_f64();
+                let mode = static_mode(mode);
                 push_cell(
                     &mut cells,
                     wl.name.clone(),
                     spec.label(),
-                    static_mode(mode),
+                    mode,
                     covered,
                     wall,
                 );
+                stats.push((mode, cell));
             }
-            // Self-check: replay must be bit-identical to live
-            // execution whenever both modes ran, whatever their order
-            // in SHOTGUN_PERF_MODES (wall-clock differs, stats must
-            // not).
-            if let (Some(full), Some(replay)) = (&full_stats, &replay_stats[si]) {
-                assert_eq!(
-                    replay,
-                    full,
-                    "replay diverged from live execution on ({}, {})",
-                    wl.name,
-                    spec.label(),
-                );
-            }
-        }
-        // The batch engine decodes the recording once and drives every
-        // scheme's pipeline from the shared stream; wall clock covers
-        // the whole group, so each cell is charged an even share.
-        if has("batch") {
-            let t0 = Instant::now();
-            let stats = run_cells(
-                &program,
-                replayed(),
-                &specs,
-                &machine,
-                CellRun::full(len),
-                SEED,
-            );
-            let wall = t0.elapsed().as_secs_f64() / specs.len() as f64;
-            for (si, spec) in specs.iter().enumerate() {
-                // Self-check: the batch engine must be bit-identical to
-                // the serial trace-driven run.
-                if let Some(replay) = &replay_stats[si] {
+            // Self-check, whatever the order in SHOTGUN_PERF_MODES
+            // (wall clock differs, stats must not): replay equals live
+            // execution, and each accelerated mode its reference.
+            let of = |mode: &str| stats.iter().find(|(m, _)| *m == mode).map(|(_, c)| c);
+            for (a, b) in [
+                ("replay", "full"),
+                ("accel", "replay"),
+                ("accel-sampled", "sampled"),
+            ] {
+                if let (Some(a_stats), Some(b_stats)) = (of(a), of(b)) {
                     assert_eq!(
-                        &stats[si],
-                        replay,
-                        "batch diverged from serial replay on ({}, {})",
+                        a_stats,
+                        b_stats,
+                        "{a} diverged from {b} on ({}, {})",
                         wl.name,
                         spec.label(),
                     );
                 }
-                push_cell(
-                    &mut cells,
-                    wl.name.clone(),
-                    spec.label(),
-                    "batch",
-                    covered,
-                    wall,
-                );
-            }
-        }
-        if has("batch-sampled") && len.measure >= sampling.detail {
-            let t0 = Instant::now();
-            let stats = run_cells(&program, replayed(), &specs, &machine, sampled_run, SEED);
-            let wall = t0.elapsed().as_secs_f64() / specs.len() as f64;
-            for (si, spec) in specs.iter().enumerate() {
-                if let Some(sampled) = &sampled_stats[si] {
-                    assert_eq!(
-                        &stats[si],
-                        sampled,
-                        "batch-sampled diverged from serial sampled on ({}, {})",
-                        wl.name,
-                        spec.label(),
-                    );
-                }
-                push_cell(
-                    &mut cells,
-                    wl.name.clone(),
-                    spec.label(),
-                    "batch-sampled",
-                    covered,
-                    wall,
-                );
             }
         }
     }
@@ -256,23 +199,23 @@ fn main() {
             );
         }
     }
-    if let Some(s) = speedup(&cells, "batch", "replay") {
-        println!("\nbatch speedup over serial replay: {s:.2}x");
+    if let Some(s) = speedup(&cells, "accel", "replay") {
+        println!("\naccel speedup over reference replay: {s:.2}x");
     }
-    if let Some(s) = speedup(&cells, "batch-sampled", "sampled") {
-        println!("batch-sampled speedup over serial sampled: {s:.2}x");
+    if let Some(s) = speedup(&cells, "accel-sampled", "sampled") {
+        println!("accel-sampled speedup over reference sampled: {s:.2}x");
     }
 
     write_perf_json(&cells, len, sampling, &modes);
 
-    // The CI regression floor. Gate on the batch pool when it was
-    // measured — sweeps run batched by default, so that is the
-    // throughput that matters — falling back to serial full detail,
+    // The CI regression floor. Gate on the accel pool when it was
+    // measured — sweeps run accelerated, so that is the throughput
+    // that matters — falling back to reference full detail,
     // then to the first enabled mode alone. Pooling sampled
     // covered-MIPS with timed modes would inflate the gated number far
     // past any useful floor, hence a single-mode gate.
-    let (gate_mode, gate_mips) = if let Some(pool) = pool_mode(&cells, "batch") {
-        ("batch", Some(pool.mips))
+    let (gate_mode, gate_mips) = if let Some(pool) = pool_mode(&cells, "accel") {
+        ("accel", Some(pool.mips))
     } else if let Some(pool) = pool_mode(&cells, "full") {
         ("full", Some(pool.mips))
     } else {
@@ -407,14 +350,13 @@ fn write_perf_json(cells: &[PerfCell], len: RunLength, sampling: SamplingSpec, m
             Json::F64(total_instrs as f64 / (total_wall_ms / 1e3) / 1e6),
         ),
         ("full_mips".into(), mode_mips("full")),
-        ("batch_mips".into(), mode_mips("batch")),
-        // The tentpole ratio: shared-decode batch engine over the
-        // serial trace-driven path, full detail. CI asserts a floor on
-        // this field.
-        ("batch_speedup".into(), ratio("batch", "replay")),
+        ("accel_mips".into(), mode_mips("accel")),
+        // The accelerations over the reference trace-driven path, full
+        // detail. CI asserts a floor on this field.
+        ("accel_speedup".into(), ratio("accel", "replay")),
         (
-            "batch_sampled_speedup".into(),
-            ratio("batch-sampled", "sampled"),
+            "accel_sampled_speedup".into(),
+            ratio("accel-sampled", "sampled"),
         ),
         (
             "min_cell_mips".into(),

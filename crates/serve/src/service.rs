@@ -216,12 +216,6 @@ pub struct JobProgress {
     pub scheme: String,
     /// Served from the result cache instead of simulated.
     pub cached: bool,
-    /// Batch-group id when the cell ran on the sweep's shared-decode
-    /// batch engine (cells share an id exactly when they shared one
-    /// trace pass; a workload may run as several groups); `None`
-    /// for serial, cached, and mix cells. Additive — absent on the
-    /// wire for non-batched cells.
-    pub batch_id: Option<u64>,
 }
 
 struct JobTable {
@@ -548,7 +542,6 @@ impl Worker {
                         workload: event.workload.as_str().to_string(),
                         scheme: event.scheme.clone(),
                         cached: event.cached,
-                        batch_id: event.batch_id,
                     });
                 }
             });

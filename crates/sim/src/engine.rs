@@ -9,11 +9,11 @@ use fe_model::{MachineConfig, SimStats};
 use fe_uarch::scheme::ControlFlowDelivery;
 use fe_uarch::{MemStats, MemorySystem};
 
-use crate::batch::Schedule;
 use crate::pipeline::{
     backend::Backend, bpu::Bpu, fetch::FetchUnit, stall, PipelineState, SUPPLY_CAP,
 };
 use crate::runner::RunLength;
+use crate::schedule::Schedule;
 use crate::source::SourceKind;
 
 pub use crate::pipeline::{EngineScheme, SchemeKind};
@@ -27,9 +27,14 @@ pub struct Simulator<'p> {
     bpu: Bpu,
     fetch: FetchUnit,
     pub(crate) backend: Backend,
-    /// Quiescent-span skipping is armed (a batch acceleration; see
+    /// Quiescent-span skipping is armed (see
     /// [`Self::enable_batch_accel`]).
     skip_quiet: bool,
+    /// Cycles skipped in starved spans (see `try_skip_starved_span`).
+    pub(crate) starved_cycles_skipped: u64,
+    /// Cycles skipped in data-stall spans (see
+    /// `try_skip_data_stall_span`).
+    pub(crate) data_stall_cycles_skipped: u64,
     // Measurement bases (captured when measurement starts).
     base_cycle: u64,
     base_scheme_misses: u64,
@@ -101,6 +106,8 @@ impl<'p> Simulator<'p> {
             fetch: FetchUnit,
             backend: Backend::new(seed),
             skip_quiet: false,
+            starved_cycles_skipped: 0,
+            data_stall_cycles_skipped: 0,
             base_cycle: 0,
             base_scheme_misses: 0,
             base_scheme_lookups: 0,
@@ -109,16 +116,16 @@ impl<'p> Simulator<'p> {
 
     /// Runs `warmup` instructions untimed-for-stats, then measures
     /// `measure` instructions and returns their statistics — the
-    /// full-detail schedule of the [`batch`](crate::batch) driver, run
-    /// to completion on this one pipeline.
+    /// full-detail schedule of the [`schedule`](crate::schedule) driver,
+    /// run to completion with the accelerations off.
     ///
     /// A finite source (a trace) that runs out of records before the
     /// run completes ends the run early with the statistics measured so
     /// far — check [`Self::source_exhausted`] — rather than panicking.
     pub fn run(&mut self, warmup: u64, measure: u64) -> SimStats {
-        let mut schedule = Schedule::new(RunLength { warmup, measure }, None);
-        schedule.advance(self, u64::MAX);
-        schedule.into_stats().stats
+        Schedule::new(RunLength { warmup, measure }, None)
+            .run(self)
+            .stats
     }
 
     /// One simulated cycle: tick the stages front to back, then account
@@ -137,7 +144,7 @@ impl<'p> Simulator<'p> {
     }
 
     /// Steps until `until` instructions have retired or the stream has
-    /// ended. A step is a bulk-skipped quiescent span when the batch
+    /// ended. A step is a bulk-skipped quiescent span when the
     /// accelerations are armed and one starts here, otherwise one
     /// [`Self::cycle`].
     pub(crate) fn step_until(&mut self, until: u64) {
@@ -148,44 +155,19 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Arms the batch-path accelerations on this cell: the TAGE fold
-    /// scratch (incrementally-maintained folded histories — bit-
-    /// identical predictions, O(1) per history push) and quiescent-span
-    /// skipping. Lone cells never call this, staying the byte-for-byte
-    /// reference the batch engine is checked against.
+    /// Arms the accelerations on this cell: the TAGE fold scratch
+    /// (incrementally-maintained folded histories — bit-identical
+    /// predictions, O(1) per history push) and quiescent-span skipping.
+    /// [`run_cells`](crate::run_cells) arms every cell unless
+    /// [`CellRun::reference`](crate::CellRun::reference) is set; an
+    /// unarmed cell is the byte-for-byte reference the armed ones are
+    /// checked against.
     pub(crate) fn enable_batch_accel(&mut self) {
         self.state.tage.enable_fold_scratch();
         self.skip_quiet = true;
     }
 
-    /// Joins this cell to a batch retire-share group (see
-    /// [`fe_uarch::TageShare`]).
-    pub(crate) fn attach_tage_share(&mut self, cursor: fe_uarch::TageShareCursor) {
-        self.state.tage_share = Some(cursor);
-    }
-
-    /// This cell's retire-share sequence number, if it is in a group.
-    pub(crate) fn tage_share_seq(&self) -> Option<u64> {
-        self.state.tage_share.as_ref().map(|c| c.seq())
-    }
-
-    /// Repositions this cell's retire-share cursor after a shared warm
-    /// installed the leader's predictor state.
-    pub(crate) fn sync_tage_share(&mut self, seq: u64) {
-        if let Some(cur) = self.state.tage_share.as_mut() {
-            cur.sync_to(seq);
-        }
-    }
-
-    /// Detaches this cell from its retire-share group so the log no
-    /// longer retains deltas for it.
-    pub(crate) fn release_tage_share(&mut self) {
-        if let Some(cur) = self.state.tage_share.as_mut() {
-            cur.release();
-        }
-    }
-
-    /// Batch-path fast-forward over a *quiescent span*: a stretch of
+    /// Accelerated fast-forward over a *quiescent span*: a stretch of
     /// cycles in which every stage is provably inert and the only
     /// per-cycle effects are stall charges, reproduced in bulk.
     /// Dispatches on what the backend is starved of: an empty supply
@@ -201,9 +183,13 @@ impl<'p> Simulator<'p> {
             return 0;
         }
         if self.state.supply.is_empty() {
-            self.try_skip_starved_span()
+            let skipped = self.try_skip_starved_span();
+            self.starved_cycles_skipped += skipped;
+            skipped
         } else {
-            self.try_skip_data_stall_span()
+            let skipped = self.try_skip_data_stall_span();
+            self.data_stall_cycles_skipped += skipped;
+            skipped
         }
     }
 

@@ -64,6 +64,16 @@ pub struct RunCounters {
     /// Executor walks started: trace recordings, probes of recordings
     /// found on disk, and consolidation-mix contexts.
     pub executor_walks: u64,
+    /// Cycles the quiet-span skip fast-forwarded with the supply empty,
+    /// summed over the computed cells ([`CellStats::starved_cycles_skipped`]).
+    /// Zero under [`Experiment::batch`]`(false)`.
+    ///
+    /// [`CellStats::starved_cycles_skipped`]: crate::CellStats::starved_cycles_skipped
+    pub starved_cycles_skipped: u64,
+    /// Cycles the quiet-span skip fast-forwarded behind an aged data
+    /// miss, summed over the computed cells. Zero under
+    /// [`Experiment::batch`]`(false)`.
+    pub data_stall_cycles_skipped: u64,
 }
 
 /// A sweep stopped by its cancel flag before every cell completed (see
@@ -136,14 +146,6 @@ pub struct ProgressEvent {
     /// Whether the cell was served from the configured [`CellStore`]
     /// instead of being simulated.
     pub cached: bool,
-    /// When the cell ran on the [batch engine](crate::batch), the id of
-    /// its batch group: cells share an id exactly when they shared one
-    /// decode pass, so a workload whose cells were cut into several
-    /// groups (see [`Experiment::threads`]) shows one id per group. Ids
-    /// are unique within a sweep and otherwise opaque. `None` for lone,
-    /// cached, and mix cells. Additive: streaming clients that predate
-    /// it see the field as simply absent.
-    pub batch_id: Option<u64>,
 }
 
 type ProgressFn = Box<dyn Fn(&ProgressEvent) + Send + Sync>;
@@ -168,7 +170,7 @@ pub struct Experiment {
     cell_store: Option<Arc<dyn CellStore>>,
     snapshots: Option<Arc<SnapshotStore>>,
     cancel: Option<Arc<AtomicBool>>,
-    batch: bool,
+    reference: bool,
 }
 
 impl Experiment {
@@ -194,7 +196,7 @@ impl Experiment {
             cell_store: None,
             snapshots: None,
             cancel: None,
-            batch: true,
+            reference: false,
         }
     }
 
@@ -251,10 +253,9 @@ impl Experiment {
     }
 
     /// Sets the worker-thread count; results are identical at any
-    /// value. Threads take batch groups: one per workload when the
-    /// sweep has at least as many workloads as threads, otherwise each
-    /// workload's uncached cells are cut into `ceil(threads /
-    /// workloads)` near-equal groups so no thread idles.
+    /// value. Threads claim one cell at a time (consolidation mixes
+    /// first), so a sweep keeps every thread busy while cells remain,
+    /// however few workloads it has.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -333,14 +334,13 @@ impl Experiment {
         self
     }
 
-    /// Enables or disables the [batch engine](crate::batch) (default:
-    /// enabled). When enabled, a workload's uncached scheme cells go to
-    /// [`run_cells`] together, which batches them over one shared
-    /// decode; when disabled, they go one at a time, each running
-    /// alone. Statistics stay byte-identical either way, so this knob
-    /// exists for batch-vs-lone comparisons and as an escape hatch.
+    /// `batch(false)` runs every cell with the accelerations (TAGE fold
+    /// scratch, quiet-span skip) off, as the reference; `batch(true)`,
+    /// the default, runs them on. It sets [`CellRun::reference`] to
+    /// `!enabled` and does nothing else. Statistics are byte-identical
+    /// either way.
     pub fn batch(mut self, enabled: bool) -> Self {
-        self.batch = enabled;
+        self.reference = !enabled;
         self
     }
 
@@ -383,7 +383,7 @@ impl Experiment {
             cell_store,
             snapshots,
             cancel,
-            batch,
+            reference,
         } = self;
         assert!(
             !(workloads.is_empty() && mixes.is_empty()),
@@ -492,12 +492,16 @@ impl Experiment {
             offset += mix.members.len();
         }
 
+        // The parallel unit is one cell: a mix job per (mix, scheme),
+        // then one job per (workload, scheme). A cached cell's job only
+        // reports it; every other cell runs alone over its own reader
+        // of the workload's recording. Mixes run N contexts serially,
+        // making them the slowest jobs: claim them first so they never
+        // tail the sweep. Results are slotted by index, so ordering is
+        // invisible in the report.
         let n_schemes = schemes.len();
-        // Mixes run N contexts serially, making them the slowest jobs:
-        // claim them first so they never tail the sweep. Results are
-        // slotted by index, so ordering is invisible in the report.
         let mix_jobs = mixes.len() * n_schemes;
-        // Total *cells* — what progress events and `Interrupted` count.
+        // Total jobs — what progress events and `Interrupted` count.
         let total = mix_jobs + workloads.len() * n_schemes;
 
         // Cache consult: resolve every single-workload cell's content
@@ -529,43 +533,6 @@ impl Experiment {
             })
             .collect();
 
-        // The parallel unit is one batch group. A mix is one job per
-        // (mix, scheme). A single-context workload's uncached cells run
-        // as shared-decode batches (see the `batch` module) instead of
-        // decoding the trace once per scheme, cut into
-        // `ceil(threads / workloads)` near-equal groups (never more
-        // groups than cells) so a sweep with fewer workloads than
-        // threads still fills every thread. With at least as many
-        // workloads as threads that is one group per workload. The
-        // rule reads only the sweep's shape, and a batch of any subset
-        // of cells is byte-identical to the cells run alone, so the
-        // report cannot tell how the cells were grouped. A workload's
-        // first group also reports its cached cells.
-        struct Group {
-            wi: usize,
-            cached: Vec<usize>,
-            cells: Vec<usize>,
-        }
-        let split = threads.div_ceil(workloads.len().max(1));
-        let mut groups: Vec<Group> = Vec::new();
-        for wi in 0..workloads.len() {
-            let (mut hits, uncached): (Vec<usize>, Vec<usize>) =
-                (0..n_schemes).partition(|&si| cached[mix_jobs + wi * n_schemes + si].is_some());
-            let parts = split.min(uncached.len()).max(1);
-            for part in 0..parts {
-                let (lo, hi) = (
-                    part * uncached.len() / parts,
-                    (part + 1) * uncached.len() / parts,
-                );
-                groups.push(Group {
-                    wi,
-                    cached: std::mem::take(&mut hits),
-                    cells: uncached[lo..hi].to_vec(),
-                });
-            }
-        }
-        let jobs = mix_jobs + groups.len();
-
         // Record once, replay many: one executor walk per workload
         // feeds every scheme cell. Recorded length covers the run plus
         // the pipeline's bounded lookahead, so no scheme can outrun it.
@@ -592,12 +559,14 @@ impl Experiment {
         let completed = AtomicUsize::new(0);
         let computed = AtomicU64::new(0);
         let served = AtomicU64::new(0);
-        // Each job yields the stats of its cells (one per computed cell
-        // of a group, one per member for a mix), plus the sampling
+        let starved_skipped = AtomicU64::new(0);
+        let data_stall_skipped = AtomicU64::new(0);
+        // Each job yields the stats of its cells (one for a single
+        // workload's cell, one per member for a mix), plus the sampling
         // summary when the sweep runs sampled. `None` slots are jobs a
         // set cancel flag kept workers from claiming.
         type CellResult = (SimStats, Option<CellSampling>);
-        let emit = |name: &str, si: usize, was_cached: bool, batch_id: Option<u64>| {
+        let emit = |name: &str, si: usize, was_cached: bool| {
             if let Some(cb) = &progress {
                 cb(&ProgressEvent {
                     completed: completed.fetch_add(1, Ordering::Relaxed) + 1,
@@ -605,29 +574,17 @@ impl Experiment {
                     workload: WorkloadId(name.to_string()),
                     scheme: labels[si].clone(),
                     cached: was_cached,
-                    batch_id,
                 });
-            }
-        };
-        let store_cell = |cell_idx: usize, cell: &CellResult| {
-            computed.fetch_add(1, Ordering::Relaxed);
-            if let (Some(store), Some(key)) = (&cell_store, &keys[cell_idx]) {
-                store.put(
-                    key,
-                    &CellValue {
-                        stats: cell.0.clone(),
-                        sampling: cell.1.clone(),
-                    },
-                );
             }
         };
         let run = CellRun {
             len,
             sampling,
             snapshots: snapshots.as_deref(),
+            reference,
         };
         let results: Vec<Option<Vec<CellResult>>> =
-            parallel_indexed_cancellable(jobs, threads, cancel.as_deref(), |job| {
+            parallel_indexed_cancellable(total, threads, cancel.as_deref(), |job| {
                 if job < mix_jobs {
                     let (mi, si) = (job / n_schemes, job % n_schemes);
                     let members = mix_programs[mi]
@@ -643,56 +600,42 @@ impl Experiment {
                         .collect();
                     walks.fetch_add(stats.len() as u64, Ordering::Relaxed);
                     computed.fetch_add(stats.len() as u64, Ordering::Relaxed);
-                    emit(&mixes[mi].name, si, false, None);
+                    emit(&mixes[mi].name, si, false);
                     return stats;
                 }
 
-                let Group {
-                    wi,
-                    cached: hits,
-                    cells,
-                } = &groups[job - mix_jobs];
-                let name = workloads[*wi].name.as_str();
-                for &si in hits {
+                let (wi, si) = ((job - mix_jobs) / n_schemes, (job - mix_jobs) % n_schemes);
+                let name = workloads[wi].name.as_str();
+                if let Some(hit) = &cached[job] {
                     served.fetch_add(1, Ordering::Relaxed);
-                    emit(name, si, true, None);
+                    emit(name, si, true);
+                    return vec![(hit.stats.clone(), hit.sampling.clone())];
                 }
-                // With the batch engine on, the group's cells go to
-                // `run_cells` together, which batches them when sharing
-                // a decode pays; with it off, one at a time. The job
-                // index numbers the group, so cells share a `batch_id`
-                // exactly when they share a decode pass.
-                let width = if batch { cells.len().max(1) } else { 1 };
-                let mut out = Vec::with_capacity(cells.len());
-                for chunk in cells.chunks(width) {
-                    let trace = traces[*wi]
-                        .as_ref()
-                        .expect("trace recorded for every workload with uncached cells");
-                    let specs: Vec<SchemeSpec> =
-                        chunk.iter().map(|&si| schemes[si].clone()).collect();
-                    let source = CellSource::Trace(trace);
-                    let stats = run_cells(&programs[*wi], source, &specs, &machine, run, seed);
-                    let batch_id = run.batches(specs.len()).then_some(job as u64);
-                    for (&si, cell) in chunk.iter().zip(stats) {
-                        let cell = (cell.stats, cell.sampled.as_ref().map(CellSampling::of));
-                        store_cell(mix_jobs + wi * n_schemes + si, &cell);
-                        out.push(cell);
-                        emit(name, si, false, batch_id);
-                    }
+                let trace = traces[wi]
+                    .as_ref()
+                    .expect("trace recorded for every workload with uncached cells");
+                let source = CellSource::Trace(trace);
+                let specs = std::slice::from_ref(&schemes[si]);
+                let stats = run_cells(&programs[wi], source, specs, &machine, run, seed)
+                    .pop()
+                    .expect("run_cells returns one result per spec");
+                starved_skipped.fetch_add(stats.starved_cycles_skipped, Ordering::Relaxed);
+                data_stall_skipped.fetch_add(stats.data_stall_cycles_skipped, Ordering::Relaxed);
+                let cell = (stats.stats, stats.sampled.as_ref().map(CellSampling::of));
+                computed.fetch_add(1, Ordering::Relaxed);
+                if let (Some(store), Some(key)) = (&cell_store, &keys[job]) {
+                    store.put(
+                        key,
+                        &CellValue {
+                            stats: cell.0.clone(),
+                            sampling: cell.1.clone(),
+                        },
+                    );
                 }
-                out
+                emit(name, si, false);
+                vec![cell]
             });
-        // Cells each finished job resolved: a mix job counts once, a
-        // group the cells it reported, cached and computed.
-        let done: usize = results
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_some())
-            .map(|(job, _)| match job.checked_sub(mix_jobs) {
-                None => 1,
-                Some(g) => groups[g].cached.len() + groups[g].cells.len(),
-            })
-            .sum();
+        let done = results.iter().filter(|r| r.is_some()).count();
         if done < total {
             return Err(Interrupted {
                 completed: done,
@@ -703,20 +646,10 @@ impl Experiment {
             .into_iter()
             .map(|r| r.expect("all jobs completed"))
             .collect();
-        // Slot every single-context cell back by (workload, scheme):
-        // cached values first, then each group's computed cells.
-        let mut slots: Vec<Option<CellResult>> = cached[mix_jobs..]
-            .iter()
-            .map(|c| c.as_ref().map(|v| (v.stats.clone(), v.sampling.clone())))
-            .collect();
-        for (group, computed) in groups.iter().zip(results.split_off(mix_jobs)) {
-            for (&si, cell) in group.cells.iter().zip(computed) {
-                slots[group.wi * n_schemes + si] = Some(cell);
-            }
-        }
-        let single: Vec<CellResult> = slots
+        let single: Vec<CellResult> = results
+            .split_off(mix_jobs)
             .into_iter()
-            .map(|c| c.expect("every scheme cell resolved"))
+            .map(|mut cell| cell.remove(0))
             .collect();
 
         let mut cells = Vec::new();
@@ -775,6 +708,8 @@ impl Experiment {
                 cells_computed: computed.into_inner(),
                 cells_cached: served.into_inner(),
                 executor_walks: walks.into_inner(),
+                starved_cycles_skipped: starved_skipped.into_inner(),
+                data_stall_cycles_skipped: data_stall_skipped.into_inner(),
             },
         })
     }
@@ -789,8 +724,8 @@ impl Experiment {
 /// replay as a prefix, so shortening a sweep never invalidates the
 /// cache. Stores are reconstructed to flat traces here (lossless, see
 /// [`fe_trace::TraceStore::to_trace`]) so every downstream path —
-/// batch, sampled, snapshot, content-addressed cache — works over an
-/// ingested workload unchanged.
+/// full detail, sampled, snapshot, content-addressed cache — works
+/// over an ingested workload unchanged.
 fn obtain_trace(
     program: &Program,
     seed: u64,

@@ -18,7 +18,7 @@
 //! functional warming (see the [`sampling`] module). Every cell, in a
 //! sweep or on its own, runs through [`run_cells`]: one entry point
 //! over a live walk, a recording or an ingested store, full detail or
-//! sampled, alone or as a shared-decode batch.
+//! sampled, each cell alone over its own reader of the stream.
 //!
 //! ```no_run
 //! use fe_cfg::workloads;
@@ -35,7 +35,6 @@
 //! println!("speedup {:.2}", cell.metrics.speedup.unwrap());
 //! ```
 
-pub mod batch;
 pub mod cache;
 pub mod engine;
 pub mod experiment;
@@ -45,10 +44,10 @@ mod pipeline;
 pub mod report;
 pub mod runner;
 pub mod sampling;
+pub mod schedule;
 pub mod snapshot;
 pub mod source;
 
-pub use batch::{SharedCursor, SharedWindow};
 pub use cache::{config_hash, CellKey, CellStore, CellValue, MemoryCellStore, ENGINE_VERSION};
 pub use engine::{EngineScheme, SchemeKind, Simulator};
 pub use experiment::{

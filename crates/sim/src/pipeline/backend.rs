@@ -274,8 +274,8 @@ impl Backend {
         self.last_retired_kind = None;
     }
 
-    /// Bulk accounting for a quiescent span `[s.now, until)` the batch
-    /// engine fast-forwards over (see `Simulator::try_skip_quiet_span`):
+    /// Bulk accounting for a quiescent span `[s.now, until)` an
+    /// accelerated cell fast-forwards over (see `Simulator::try_skip_quiet_span`):
     /// zero-retire cycles whose only per-cycle state change is the stall
     /// charge itself. Reproduces the cycle-by-cycle classification
     /// exactly: with `retired_total` frozen, a data miss's ROB-shadow

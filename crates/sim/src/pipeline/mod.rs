@@ -50,7 +50,7 @@ use std::collections::VecDeque;
 
 use fe_baselines::{Boomerang, Confluence, Fdip, NoPrefetch};
 use fe_cfg::Program;
-use fe_model::{Addr, LineAddr, MachineConfig, RetiredBlock, SimStats};
+use fe_model::{Addr, BlockSource, LineAddr, MachineConfig, RetiredBlock, SimStats};
 use fe_uarch::scheme::{BpuOutcome, ControlFlowDelivery, FrontEndCtx, PredRecord};
 use fe_uarch::{BoundedQueue, InflightFills, LineCache, MemorySystem, ReturnAddressStack, Tage};
 use shotgun::ShotgunPrefetcher;
@@ -246,10 +246,6 @@ pub(crate) struct PipelineState<'p> {
     pub(crate) l1i: LineCache,
     pub(crate) mem: MemorySystem,
     pub(crate) tage: Tage,
-    /// When this cell belongs to a batch retire-share group, the
-    /// group's delta-log cursor; TAGE retirements then go through
-    /// [`fe_uarch::Tage::retire_shared`] (see [`PipelineState::tage_retire`]).
-    pub(crate) tage_share: Option<fe_uarch::TageShareCursor>,
     pub(crate) spec_ras: ReturnAddressStack,
     pub(crate) retire_ras: ReturnAddressStack,
     pub(crate) inflight: InflightFills,
@@ -305,7 +301,6 @@ impl<'p> PipelineState<'p> {
             l1i: LineCache::new(cfg.l1i),
             mem,
             tage: Tage::new(cfg.tage),
-            tage_share: None,
             spec_ras: ReturnAddressStack::new(cfg.front_end.ras_entries as usize),
             retire_ras: ReturnAddressStack::new(cfg.front_end.ras_entries as usize),
             inflight: InflightFills::new(cfg.front_end.l1i_mshrs as usize),
@@ -332,9 +327,7 @@ impl<'p> PipelineState<'p> {
         }
     }
 
-    /// `true` when the ideal front end drives the BPU.
-    /// Retires one conditional branch against TAGE, through the batch
-    /// retire-share log when this cell is in a group. `hist` is the
+    /// Retires one conditional branch against TAGE. `hist` is the
     /// prediction-time history snapshot; `None` trains at retired
     /// history (the never-predicted case — same value `Tage::retire`
     /// uses).
@@ -345,13 +338,13 @@ impl<'p> PipelineState<'p> {
         taken: bool,
         hist: Option<u128>,
     ) -> bool {
-        let hist = hist.unwrap_or_else(|| self.tage.retired_snapshot());
-        match self.tage_share.as_mut() {
-            Some(cur) => self.tage.retire_shared(pc, taken, hist, cur),
-            None => self.tage.retire_with(pc, taken, hist),
+        match hist {
+            Some(hist) => self.tage.retire_with(pc, taken, hist),
+            None => self.tage.retire(pc, taken),
         }
     }
 
+    /// `true` when the ideal front end drives the BPU.
     pub(crate) fn is_ideal(&self) -> bool {
         matches!(self.scheme, EngineScheme::Ideal)
     }
@@ -364,10 +357,9 @@ impl<'p> PipelineState<'p> {
     /// Whenever a refill is needed, a few blocks beyond `pos` are
     /// pulled in the same pass: the backend asks for the oracle head
     /// once per retired block, and read-ahead amortizes the per-call
-    /// source dispatch (for the batch engine, a shared-window borrow)
-    /// across `ORACLE_READAHEAD` blocks. Pure buffering — consumption
-    /// order, stats, and the retired position at which dryness is
-    /// observable are unchanged (an early `source_dry` flag only makes
+    /// source dispatch across `ORACLE_READAHEAD` blocks. Pure
+    /// buffering — consumption order, stats, and the retired position
+    /// at which dryness is observable are unchanged (an early `source_dry` flag only makes
     /// the span-skip paths decline a few end-of-stream cycles they
     /// would otherwise have skipped; every skip is result-transparent).
     pub(crate) fn fill_oracle_to(&mut self, pos: usize) -> bool {
@@ -375,9 +367,14 @@ impl<'p> PipelineState<'p> {
         if pos < self.oracle.len() {
             return true;
         }
-        let want = pos + ORACLE_READAHEAD + 1 - self.oracle.len();
-        if self.source.next_blocks_into(want, &mut self.oracle) < want {
-            self.source_dry = true;
+        for _ in self.oracle.len()..=pos + ORACLE_READAHEAD {
+            match self.source.next_block() {
+                Some(rb) => self.oracle.push_back(rb),
+                None => {
+                    self.source_dry = true;
+                    break;
+                }
+            }
         }
         pos < self.oracle.len()
     }

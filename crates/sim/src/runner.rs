@@ -1,7 +1,6 @@
 //! Scheme specifications, run-length control, and [`run_cells`] — the
-//! one entry point that runs (scheme) cells over a program, alone or
-//! as a shared-decode batch, which the `Experiment` sweep API builds
-//! on.
+//! one entry point that runs (scheme) cells over a program, which the
+//! `Experiment` sweep API builds on.
 
 use fe_cfg::{Executor, Program};
 use fe_model::{MachineConfig, SimStats};
@@ -11,10 +10,10 @@ use shotgun::{RegionPolicy, ShotgunConfig, ShotgunPrefetcher};
 
 use fe_baselines::{Boomerang, Confluence, ConfluenceConfig, Fdip, NoPrefetch};
 
-use crate::batch::{BatchSimulator, Schedule, SharedWindow};
 use crate::engine::{EngineScheme, Simulator};
 use crate::pipeline::{BPU_BLOCKS_PER_CYCLE, FETCH_LINES_PER_CYCLE, SUPPLY_CAP};
 use crate::sampling::{SampledStats, SamplingSpec};
+use crate::schedule::Schedule;
 use crate::snapshot::{SnapshotKey, SnapshotStore};
 use crate::source::SourceKind;
 
@@ -280,6 +279,10 @@ pub struct CellRun<'a> {
     /// functional warm is replaced by a bit-identical restore, on a miss
     /// the cell warms and captures its state. Ignored in full detail.
     pub snapshots: Option<&'a SnapshotStore>,
+    /// Runs the cells with the accelerations (TAGE fold scratch,
+    /// quiet-span skip) off: the reference the accelerated cells are
+    /// checked against. Statistics are bit-identical either way.
+    pub reference: bool,
 }
 
 impl CellRun<'_> {
@@ -290,6 +293,7 @@ impl CellRun<'_> {
             len,
             sampling: None,
             snapshots: None,
+            reference: false,
         }
     }
 
@@ -297,17 +301,9 @@ impl CellRun<'_> {
     /// covered by `spec`-shaped intervals.
     pub fn sampled(len: RunLength, spec: SamplingSpec) -> Self {
         CellRun {
-            len,
             sampling: Some(spec),
-            snapshots: None,
+            ..CellRun::full(len)
         }
-    }
-
-    /// Whether [`run_cells`] runs `cells` specs as one shared-decode
-    /// batch: two or more cells, unless they restore warmed snapshots —
-    /// per-cell warm state a shared cursor cannot represent.
-    pub(crate) fn batches(&self, cells: usize) -> bool {
-        cells >= 2 && !(self.sampling.is_some() && self.snapshots.is_some())
     }
 
     fn validate(&self) {
@@ -329,26 +325,42 @@ impl CellRun<'_> {
 }
 
 /// One cell's result from [`run_cells`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct CellStats {
     /// The measured statistics (the aggregate over intervals when
     /// sampled).
     pub stats: SimStats,
     /// Every measured interval, when the cell ran sampled.
     pub sampled: Option<SampledStats>,
+    /// Cycles the quiet-span skip fast-forwarded while the supply was
+    /// empty (redirect bubbles, I-miss shadows), over the whole run.
+    /// Zero for a reference cell.
+    pub starved_cycles_skipped: u64,
+    /// Cycles the quiet-span skip fast-forwarded behind an aged data
+    /// miss, over the whole run. Zero for a reference cell.
+    pub data_stall_cycles_skipped: u64,
+}
+
+/// Equality covers the statistics: the skip counts say how the cell
+/// was simulated, not what it measured, so an accelerated cell equals
+/// its reference.
+impl PartialEq for CellStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.stats == other.stats && self.sampled == other.sampled
+    }
 }
 
 /// Runs each scheme in `specs` over `program`, fed from `source`;
 /// results come back in `specs` order.
 ///
-/// Two or more cells run as one shared-decode batch (see the
-/// [`batch`](crate::batch) module) with the batch accelerations on —
-/// unless they are sampled with `run.snapshots` set, since a restored
-/// snapshot is per-cell warm state a shared cursor cannot represent.
-/// Every other cell runs alone over its own reader of `source`, with
-/// the accelerations off: that is the reference the batch is checked
-/// against. Either way the statistics are bit-identical, and identical
-/// across sources over the same `(program, seed)` stream.
+/// Every cell runs alone over its own reader of `source`, so sampled
+/// fast-forwards seek through the replayer or store. Cells run with the
+/// accelerations armed (see the [`schedule`](crate::schedule) module)
+/// unless `run.reference` is set; a sampled cell restoring or capturing
+/// a warmed snapshot arms them only after its initial warm, so a
+/// snapshot never carries the fold scratch. The statistics are
+/// bit-identical either way, and identical across sources over the same
+/// `(program, seed)` stream.
 ///
 /// `seed` seeds the live walk and the backend's load RNG (the data
 /// side is not part of a recording), so a recording must be replayed
@@ -370,26 +382,14 @@ pub fn run_cells<'a>(
 ) -> Vec<CellStats> {
     run.validate();
     source.check(program, seed);
-    let what = source.describe();
-    let cell = |spec: &SchemeSpec, stream: SourceKind<'a>| {
-        let scheme = spec.build(machine);
-        let mem = MemorySystem::new(machine);
-        Simulator::with_source(program, machine.clone(), scheme, seed, mem, stream)
-    };
-    if run.batches(specs.len()) {
-        let window = SharedWindow::new(source.open(program, seed));
-        let mut batch = BatchSimulator::default();
-        for spec in specs {
-            let mut sim = cell(spec, window.cursor().into());
-            sim.enable_batch_accel();
-            batch.add_cell(sim, Schedule::new(run.len, run.sampling), spec.label());
-        }
-        return batch.run(&what);
-    }
     specs
         .iter()
-        .flat_map(|spec| {
-            let mut sim = cell(spec, source.open(program, seed));
+        .map(|spec| {
+            let scheme = spec.build(machine);
+            let mem = MemorySystem::new(machine);
+            let stream = source.open(program, seed);
+            let mut sim =
+                Simulator::with_source(program, machine.clone(), scheme, seed, mem, stream);
             let mut schedule = Schedule::new(run.len, run.sampling);
             if let (Some(store), Some(_)) = (run.snapshots, run.sampling) {
                 let fingerprint = source
@@ -404,9 +404,18 @@ pub fn run_cells<'a>(
                     }
                 }
             }
-            let mut lone = BatchSimulator::default();
-            lone.add_cell(sim, schedule, spec.label());
-            lone.run(&what)
+            if !run.reference {
+                sim.enable_batch_accel();
+            }
+            let cell = schedule.run(&mut sim);
+            assert!(
+                !sim.source_exhausted(),
+                "{} ran dry mid-run of `{}` — record at least \
+                 RunLength::trace_instrs instructions",
+                source.describe(),
+                spec.label(),
+            );
+            cell
         })
         .collect()
 }

@@ -240,28 +240,13 @@ impl CellSampling {
 
 /// The functional phases of a sampled run. The interval schedule that
 /// sequences them with timed detail windows is the
-/// [`batch`](crate::batch) driver's.
+/// [`schedule`](crate::schedule) driver's.
 impl<'p> Simulator<'p> {
     /// Functional warming: drains at least `instrs` instructions from
     /// the source through the update-only paths (no cycles, no memory
     /// traffic), stopping at the first block boundary at or past the
     /// target. Returns the instructions actually warmed.
     pub(crate) fn warm_functional(&mut self, instrs: u64) -> u64 {
-        self.warm_functional_with(instrs, &mut [])
-    }
-
-    /// [`Self::warm_functional`] with ride-along schemes: every warmed
-    /// block is also fed to each rider's
-    /// [`warm_block`](ControlFlowDelivery::warm_block) hook against
-    /// this cell's front-end context — the batch engine's shared-warm
-    /// pass, where one leader walks the warm window and the other
-    /// cells' schemes ride along instead of re-walking it themselves.
-    /// The context the riders see is the leader's post-`warm_one`
-    /// state, exactly what each rider's own warm would show at
-    /// the same block (the warmed structures are identical across
-    /// same-config cells). With no riders this is the plain warm path,
-    /// unchanged.
-    pub(crate) fn warm_functional_with(&mut self, instrs: u64, riders: &mut [EngineScheme]) -> u64 {
         let mut warmed = 0u64;
         while warmed < instrs {
             // Blocks the timed pipeline already pulled ahead retire
@@ -281,15 +266,6 @@ impl<'p> Simulator<'p> {
                 },
             };
             self.warm_one(&rb);
-            if !riders.is_empty() {
-                self.state.with_ctx(|ctx| {
-                    for rider in riders.iter_mut() {
-                        if let EngineScheme::Real(sch) = rider {
-                            sch.warm_block(&rb, ctx);
-                        }
-                    }
-                });
-            }
             warmed += fresh;
             self.state.retired_total += fresh;
         }

@@ -75,38 +75,28 @@ impl SnapshotKey {
     }
 }
 
-/// Deep copy of the scheme-*independent* structures the functional
-/// warm path mutates: L1-I, TAGE, retire RAS, and the memory image.
-/// Shared by [`WarmSnapshot`] (cross-run caching) and the batch
-/// engine's shared-warm pass (within one batch, one leader warms these
-/// once and clones of them are installed into every same-config cell —
-/// the structures depend only on the retired stream, never on the
-/// scheme riding above them).
-#[derive(Clone)]
-pub(crate) struct WarmStructures {
+/// Deep copy of every structure the functional warm path mutates — the
+/// L1-I, TAGE, retire RAS, memory image and scheme — plus the stream
+/// position warming stopped at. See the module docs for the exactness
+/// argument.
+pub struct WarmSnapshot {
     l1i: LineCache,
     tage: Tage,
     retire_ras: ReturnAddressStack,
     mem: MemSnapshot,
-}
-
-/// Deep copy of every structure the functional warm path mutates, plus
-/// the stream position warming stopped at. See the module docs for the
-/// exactness argument.
-pub struct WarmSnapshot {
-    structures: WarmStructures,
     scheme: EngineScheme,
     /// Instructions the warm phase consumed (block-aligned).
     warmed: u64,
 }
 
 impl<'p> Simulator<'p> {
-    /// Captures the scheme-independent warmed structures. Only cells
-    /// with a private memory system warm functionally, so the memory
-    /// image is always snapshottable here.
-    pub(crate) fn capture_warm_structures(&self) -> WarmStructures {
+    /// Captures the current warmed state. Call immediately after the
+    /// initial functional warm of a sampled run, before any interval.
+    /// Only cells with a private memory system warm functionally, so
+    /// the memory image is always snapshottable here.
+    pub(crate) fn capture_warm(&self) -> WarmSnapshot {
         let s = &self.state;
-        WarmStructures {
+        WarmSnapshot {
             l1i: s.l1i.clone(),
             tage: s.tage.clone(),
             retire_ras: s.retire_ras.clone(),
@@ -114,26 +104,8 @@ impl<'p> Simulator<'p> {
                 .mem
                 .snapshot()
                 .expect("functionally warmed cells own a private memory system"),
-        }
-    }
-
-    /// Installs deep copies of scheme-independent warmed structures.
-    /// The stream position must already match the capture point.
-    pub(crate) fn install_warm_structures(&mut self, ws: &WarmStructures) {
-        let s = &mut self.state;
-        s.l1i = ws.l1i.clone();
-        s.tage = ws.tage.clone();
-        s.retire_ras = ws.retire_ras.clone();
-        s.mem = ws.mem.thaw();
-    }
-
-    /// Captures the current warmed state. Call immediately after the
-    /// initial functional warm of a sampled run, before any interval.
-    pub(crate) fn capture_warm(&self) -> WarmSnapshot {
-        WarmSnapshot {
-            scheme: self.state.scheme.clone(),
-            structures: self.capture_warm_structures(),
-            warmed: self.state.retired_total,
+            scheme: s.scheme.clone(),
+            warmed: s.retired_total,
         }
     }
 
@@ -148,8 +120,12 @@ impl<'p> Simulator<'p> {
             skipped, snap.warmed,
             "snapshot warmed past the source's end — mismatched snapshot?"
         );
-        self.install_warm_structures(&snap.structures);
-        self.state.scheme = snap.scheme.clone();
+        let s = &mut self.state;
+        s.l1i = snap.l1i.clone();
+        s.tage = snap.tage.clone();
+        s.retire_ras = snap.retire_ras.clone();
+        s.mem = snap.mem.thaw();
+        s.scheme = snap.scheme.clone();
     }
 }
 

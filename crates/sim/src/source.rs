@@ -10,8 +10,6 @@ use fe_cfg::Executor;
 use fe_model::{BlockSource, RetiredBlock};
 use fe_trace::{StoreReplayer, TraceReplayer};
 
-use crate::batch::SharedCursor;
-
 /// Where the retired control-flow stream comes from, dispatched
 /// statically over the kinds the sweeps use.
 pub enum SourceKind<'p> {
@@ -20,10 +18,6 @@ pub enum SourceKind<'p> {
     /// Replay of an `fe-trace` recording — in-memory or loaded from
     /// disk, both replay through the same decoder.
     Replay(TraceReplayer<'p>),
-    /// One reader of a batch engine's shared decode window (see the
-    /// [`batch`](crate::batch) module): the underlying trace is decoded
-    /// once for every cell of the batch.
-    Shared(SharedCursor<'p>),
     /// Replay of a chunk-compressed v2 trace store — same stream as
     /// [`SourceKind::Replay`] over the same recording, but `skip_instrs`
     /// seeks via the chunk index, decoding only the chunk it lands in.
@@ -36,7 +30,6 @@ impl BlockSource for SourceKind<'_> {
         match self {
             SourceKind::Live(exec) => BlockSource::next_block(exec),
             SourceKind::Replay(replay) => replay.next_block(),
-            SourceKind::Shared(cursor) => cursor.next_block(),
             SourceKind::Store(replay) => replay.next_block(),
         }
     }
@@ -46,43 +39,7 @@ impl BlockSource for SourceKind<'_> {
         match self {
             SourceKind::Live(exec) => BlockSource::skip_instrs(exec, min_instrs),
             SourceKind::Replay(replay) => replay.skip_instrs(min_instrs),
-            SourceKind::Shared(cursor) => cursor.skip_instrs(min_instrs),
             SourceKind::Store(replay) => replay.skip_instrs(min_instrs),
-        }
-    }
-}
-
-impl SourceKind<'_> {
-    /// Appends up to `n` blocks to `out`, returning how many arrived
-    /// (short only when the stream ends). A shared cursor delivers the
-    /// whole run under one window lock; every other kind degrades to
-    /// `n` plain `next_block` calls.
-    pub(crate) fn next_blocks_into(
-        &mut self,
-        n: usize,
-        out: &mut std::collections::VecDeque<RetiredBlock>,
-    ) -> usize {
-        if let SourceKind::Shared(cursor) = self {
-            return cursor.next_blocks_into(n, out);
-        }
-        let mut taken = 0;
-        while taken < n {
-            match self.next_block() {
-                Some(rb) => {
-                    out.push_back(rb);
-                    taken += 1;
-                }
-                None => break,
-            }
-        }
-        taken
-    }
-
-    /// Marks a batch cell's shared cursor finished so the window stops
-    /// buffering for it; a private source has nothing to release.
-    pub(crate) fn release(&self) {
-        if let SourceKind::Shared(cursor) = self {
-            cursor.release();
         }
     }
 }
@@ -96,12 +53,6 @@ impl<'p> From<Executor<'p>> for SourceKind<'p> {
 impl<'p> From<TraceReplayer<'p>> for SourceKind<'p> {
     fn from(replay: TraceReplayer<'p>) -> Self {
         SourceKind::Replay(replay)
-    }
-}
-
-impl<'p> From<SharedCursor<'p>> for SourceKind<'p> {
-    fn from(cursor: SharedCursor<'p>) -> Self {
-        SourceKind::Shared(cursor)
     }
 }
 

@@ -93,12 +93,31 @@ pub(crate) fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The error [`decompress`] returns, before allocating anything, when
+/// the declared raw length is more than the input could ever expand to.
+pub(crate) const RAW_LEN_EXCEEDS_EXPANSION: &str =
+    "declared raw length exceeds the chunk's maximum LZSS expansion";
+
+/// The most bytes `compressed_len` bytes of LZSS can decode to: every
+/// control byte followed by eight longest matches, `1 + 3 * 8` input
+/// bytes for `8 * MAX_MATCH` output bytes. A partial group expands by
+/// less per byte, so the whole-group ratio bounds every input length.
+fn max_expansion(compressed_len: usize) -> usize {
+    compressed_len.saturating_mul(8 * MAX_MATCH) / (1 + 3 * 8)
+}
+
 /// Decompresses a chunk produced by [`compress`], validating every
-/// token against the declared `raw_len`: a match reaching before the
-/// output start, output overrunning `raw_len`, a token stream ending
-/// early, or trailing bytes all fail with a static description (the
-/// store wraps it into a [`TraceError::Corrupt`](crate::TraceError)).
+/// token against the declared `raw_len`: a `raw_len` above the input's
+/// [maximum expansion](RAW_LEN_EXCEEDS_EXPANSION) (checked before the
+/// output is allocated, so a few hostile bytes cannot request GiBs), a
+/// match reaching before the output start, output overrunning
+/// `raw_len`, a token stream ending early, or trailing bytes all fail
+/// with a static description (the store wraps it into a
+/// [`TraceError::Corrupt`](crate::TraceError)).
 pub(crate) fn decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>, &'static str> {
+    if raw_len > max_expansion(input.len()) {
+        return Err(RAW_LEN_EXCEEDS_EXPANSION);
+    }
     let mut out = Vec::with_capacity(raw_len);
     let mut pos = 0usize;
     while out.len() < raw_len {
@@ -213,6 +232,25 @@ mod tests {
         // Output would overrun raw_len.
         let packed = compress(&b"abcd".repeat(10));
         assert!(decompress(&packed, 5).is_err());
+    }
+
+    #[test]
+    fn oversized_raw_len_fails_before_allocating() {
+        assert_eq!(
+            decompress(&[0xff, 1, 0, 0], u32::MAX as usize),
+            Err(RAW_LEN_EXCEEDS_EXPANSION)
+        );
+        assert_eq!(decompress(&[], 1), Err(RAW_LEN_EXCEEDS_EXPANSION));
+    }
+
+    #[test]
+    fn longest_matches_stay_within_the_expansion_bound() {
+        // All zeros compresses to back-to-back longest matches, the
+        // densest stream the encoder can emit.
+        let zeros = vec![0u8; 1 << 20];
+        let packed = compress(&zeros);
+        assert!(packed.len() * 80 < zeros.len(), "{} bytes", packed.len());
+        round_trip(&zeros);
     }
 
     #[test]

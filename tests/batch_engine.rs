@@ -1,13 +1,10 @@
-//! Batch-engine equivalence: the shared-decode batch path must be
-//! *byte-identical* to the serial path at the report level — same
-//! `SweepReport` JSON, cell for cell — across workloads, scheme sets,
-//! seeds, and run shapes. Lone cells are the reference (they run none
-//! of the batch accelerations), so these tests are what licenses
-//! batching by default — and cutting one workload's cells into several
-//! groups to fill idle threads.
-
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+//! Accelerated-vs-reference equivalence: sweeps run with the
+//! accelerations on (TAGE fold scratch, quiet-span skip — the default,
+//! `Experiment::batch(true)`) must be *byte-identical* to sweeps run
+//! with them off (`batch(false)`, the reference) at the report level —
+//! same `SweepReport` JSON, cell for cell — across workloads, scheme
+//! sets, seeds, thread counts and run shapes. These tests are what
+//! licenses running every cell accelerated by default.
 
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
@@ -45,12 +42,12 @@ fn sweep(batch: bool, schemes: Vec<SchemeSpec>, seed: u64) -> SweepReport {
 
 #[test]
 fn batch_report_is_byte_identical_across_all_named_workloads_and_schemes() {
-    let batched = sweep(true, all_schemes(), 0x5407);
-    let serial = sweep(false, all_schemes(), 0x5407);
+    let accelerated = sweep(true, all_schemes(), 0x5407);
+    let reference = sweep(false, all_schemes(), 0x5407);
     assert_eq!(
-        batched.to_json(),
-        serial.to_json(),
-        "batch and serial sweeps must serialize to identical bytes"
+        accelerated.to_json(),
+        reference.to_json(),
+        "accelerated and reference sweeps must serialize to identical bytes"
     );
 }
 
@@ -85,16 +82,16 @@ fn sampled_batch_report_is_byte_identical() {
     assert_eq!(
         run(true).to_json(),
         run(false).to_json(),
-        "sampled batch and serial sweeps must serialize to identical bytes"
+        "sampled accelerated and reference sweeps must serialize to identical bytes"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Byte-identity must hold for *any* cell group the sweep could
-    /// form: random workload, random scheme subset (any batch width
-    /// from singleton fallback to the full set), random seed.
+    /// Byte-identity must hold for *any* sweep: random workload,
+    /// random scheme subset (one scheme up to the full set), random
+    /// seed.
     #[test]
     fn random_cell_groups_batch_byte_identically(
         which in 0usize..6,
@@ -124,8 +121,8 @@ proptest! {
     }
 }
 
-/// One workload's cells under the split rule: fewer workloads than
-/// threads cut the workload's cells into several batch groups.
+/// One workload's cells: fewer workloads than threads, so the threads
+/// share the workload's cells.
 fn lone_workload(threads: usize, batch: bool) -> Experiment {
     Experiment::new(MachineConfig::table3())
         .workload(workloads::nutch().scaled(0.1))
@@ -144,78 +141,25 @@ fn lone_workload_report_is_byte_identical_however_its_cells_are_grouped() {
             assert_eq!(
                 lone_workload(threads, batch).run().to_json(),
                 reference,
-                "threads({threads}), batch({batch}) must match the serial reference"
+                "threads({threads}), batch({batch}) must match the one-thread reference"
             );
         }
     }
 }
 
-/// `(workload, scheme label, batch_id)` of every progress event.
-fn progress_of(experiment: Experiment) -> Vec<(String, String, Option<u64>)> {
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&seen);
-    experiment
-        .on_progress(move |e| {
-            sink.lock().unwrap().push((
-                e.workload.as_str().to_string(),
-                e.scheme.clone(),
-                e.batch_id,
-            ))
-        })
-        .run();
-    let events = seen.lock().unwrap().clone();
-    events
-}
-
 #[test]
-fn split_groups_of_one_workload_carry_distinct_batch_ids() {
-    let events = progress_of(lone_workload(2, true));
-    let mut groups: BTreeMap<u64, BTreeSet<String>> = BTreeMap::new();
-    for (_, label, batch_id) in &events {
-        let id = batch_id.expect("every cell of a 2- or 3-cell group is batched");
-        assert!(
-            groups.entry(id).or_default().insert(label.clone()),
-            "cell {label} reported twice"
-        );
-    }
-    assert!(
-        groups.len() >= 2,
-        "one workload at threads(2) must run as at least two groups, got {groups:?}"
-    );
-    let union: BTreeSet<String> = groups.values().flatten().cloned().collect();
+fn accelerated_sweep_counts_its_skips_and_the_reference_counts_none() {
+    let accelerated = lone_workload(2, true).run();
+    let reference = lone_workload(2, false).run();
     assert_eq!(
-        union.len(),
-        events.len(),
-        "the groups must be disjoint and cover every cell"
+        accelerated.to_json(),
+        reference.to_json(),
+        "accelerated and reference sweeps must serialize to identical bytes"
     );
-    assert_eq!(events.len(), 5);
-}
-
-#[test]
-fn sweep_with_as_many_workloads_as_threads_keeps_one_batch_id_per_workload() {
-    let all = workloads::all();
-    assert_eq!(all.len(), 6);
-    let events = progress_of(
-        Experiment::new(MachineConfig::table3())
-            .workloads(all.into_iter().map(|w| w.scaled(0.05)))
-            .schemes([SchemeSpec::NoPrefetch, SchemeSpec::shotgun()])
-            .len(RunLength {
-                warmup: 10_000,
-                measure: 30_000,
-            })
-            .seed(3)
-            .threads(2),
-    );
-    let mut ids: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
-    for (workload, _, batch_id) in events {
-        ids.entry(workload)
-            .or_default()
-            .insert(batch_id.expect("two cells per workload batch together"));
-    }
-    assert_eq!(ids.len(), 6);
-    for (workload, set) in &ids {
-        assert_eq!(set.len(), 1, "{workload} must run as one group: {set:?}");
-    }
-    let distinct: BTreeSet<u64> = ids.values().flatten().copied().collect();
-    assert_eq!(distinct.len(), 6, "workloads must not share a batch id");
+    let on = accelerated.counters();
+    assert!(on.starved_cycles_skipped > 0, "{on:?}");
+    assert!(on.data_stall_cycles_skipped > 0, "{on:?}");
+    let off = reference.counters();
+    assert_eq!(off.starved_cycles_skipped, 0, "{off:?}");
+    assert_eq!(off.data_stall_cycles_skipped, 0, "{off:?}");
 }

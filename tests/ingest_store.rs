@@ -140,12 +140,16 @@ fn store_replay_is_bit_identical_and_seek_skips_chunks() {
         let chunked = lone(CellSource::Store(&store));
         assert_eq!(flat, chunked, "store replay under {}", spec.label());
     }
-    // A batch over the store (one shared decode) agrees too.
-    let batch = |source| run_cells(&program, source, &specs, &machine, CellRun::full(LEN), SEED);
+    // Reference cells (accelerations off) over the store agree too.
+    let cells = |source, run| run_cells(&program, source, &specs, &machine, run, SEED);
+    let reference = CellRun {
+        reference: true,
+        ..CellRun::full(LEN)
+    };
     assert_eq!(
-        batch(CellSource::Store(&store)),
-        batch(CellSource::Trace(&trace)),
-        "batched store replay"
+        cells(CellSource::Store(&store), reference),
+        cells(CellSource::Trace(&trace), CellRun::full(LEN)),
+        "reference store replay"
     );
 
     // Seek deep into the stream: the replayer must decode only the
