@@ -121,7 +121,7 @@ fn main() {
         let trace = (modes.iter().any(|m| m != "full"))
             .then(|| Trace::record(&program, SEED, len.trace_instrs(&machine)));
         let replayed = || CellSource::Trace(trace.as_ref().expect("trace recorded"));
-        let reference = |run: CellRun<'static>| CellRun {
+        let reference = |run: CellRun| CellRun {
             reference: true,
             ..run
         };

@@ -5,7 +5,7 @@
 //! service: clients submit sweep specifications over TCP, the service
 //! runs them strictly FIFO through [`fe_sim::Experiment`], streams
 //! per-cell progress, and returns the final
-//! [`SweepReport`](fe_sim::SweepReport) JSON. Three storage layers
+//! [`SweepReport`](fe_sim::SweepReport) JSON. Two storage layers
 //! make repeated and interrupted work cheap:
 //!
 //! * **Content-addressed result cache** ([`DiskCellStore`]) — every
@@ -19,10 +19,6 @@
 //!   completed-cell set is fsynced per cell (write-to-temp + rename,
 //!   never torn). A killed daemon re-enqueues pending specs on restart
 //!   and recomputes nothing that already finished.
-//! * **Warmed-state snapshots** ([`fe_sim::SnapshotStore`]) — sampled
-//!   cells capture their post-warmup microarchitectural state once per
-//!   (workload, config); re-runs restore it instead of re-warming,
-//!   bit-identically.
 //!
 //! The in-process [`ExperimentService`] carries all the semantics;
 //! [`Server`] is a thin TCP front speaking length-prefixed JSON frames

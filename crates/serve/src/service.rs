@@ -5,13 +5,11 @@
 //! (see [`server`](crate::server)): jobs are submitted as [`JobSpec`]s,
 //! persisted under `jobs/` before they are acknowledged, and executed
 //! strictly in submission order through [`fe_sim::Experiment`] with
-//! three storage layers installed:
+//! two storage layers installed:
 //!
 //! * the shared [`DiskCellStore`] — repeated cells across jobs cost a
 //!   file read, byte-identical to computing them;
-//! * a per-job [`JobCheckpoint`] recording the completed-cell set;
-//! * a process-lifetime [`SnapshotStore`] so sampled re-runs skip
-//!   functional warming.
+//! * a per-job [`JobCheckpoint`] recording the completed-cell set.
 //!
 //! A killed daemon resumes on restart: `open` re-enqueues every
 //! pending job spec it finds, and their completed cells are served
@@ -33,10 +31,7 @@ use std::thread::JoinHandle;
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
 use fe_sim::json::{self, Json};
-use fe_sim::{
-    scheme_from_json, scheme_to_json, Experiment, RunLength, SamplingSpec, SchemeSpec,
-    SnapshotStore,
-};
+use fe_sim::{scheme_from_json, scheme_to_json, Experiment, RunLength, SamplingSpec, SchemeSpec};
 
 use crate::store::{write_atomic, DiskCellStore, JobCheckpoint};
 
@@ -125,25 +120,19 @@ impl JobSpec {
         ])
     }
 
-    /// Parses a spec, validating workload names against the catalog so
-    /// a bad submission is refused at the door instead of panicking the
-    /// worker.
+    /// Parses a spec and checks it can run, so a bad submission is
+    /// refused at the door instead of panicking the worker: an unknown
+    /// catalog workload, a scale that is not a positive number, or
+    /// anything [`Experiment::check`] refuses (duplicate workloads or
+    /// scheme labels, a sampling shape that does not fit the measured
+    /// length, ...).
     pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
         let mut spec_workloads = Vec::new();
         for w in doc.req("workloads")?.as_arr()? {
             let name = w.req("name")?.as_str()?.to_string();
-            if workloads::by_name(&name).is_none() {
-                return Err(format!("unknown workload `{name}`"));
-            }
             let scale = match w.get("scale") {
                 None | Some(Json::Null) => None,
-                Some(s) => {
-                    let s = s.as_f64()?;
-                    if !(s.is_finite() && s > 0.0) {
-                        return Err(format!("workload scale must be positive, got {s}"));
-                    }
-                    Some(s)
-                }
+                Some(s) => Some(s.as_f64()?),
             };
             spec_workloads.push(JobWorkload { name, scale });
         }
@@ -151,22 +140,15 @@ impl JobSpec {
         for s in doc.req("schemes")?.as_arr()? {
             schemes.push(scheme_from_json(s)?);
         }
-        if spec_workloads.is_empty() || schemes.is_empty() {
-            return Err("job needs at least one workload and one scheme".into());
-        }
         let sampling = match doc.get("sampling") {
             None | Some(Json::Null) => None,
-            Some(s) => {
-                let spec = SamplingSpec {
-                    interval: s.req("interval")?.as_u64()?,
-                    detail: s.req("detail")?.as_u64()?,
-                    warmup: s.req("warmup")?.as_u64()?,
-                };
-                spec.validate()?;
-                Some(spec)
-            }
+            Some(s) => Some(SamplingSpec {
+                interval: s.req("interval")?.as_u64()?,
+                detail: s.req("detail")?.as_u64()?,
+                warmup: s.req("warmup")?.as_u64()?,
+            }),
         };
-        Ok(JobSpec {
+        let spec = JobSpec {
             workloads: spec_workloads,
             schemes,
             len: RunLength {
@@ -176,7 +158,38 @@ impl JobSpec {
             seed: doc.req("seed")?.as_u64()?,
             sampling,
             threads: doc.get("threads").map_or(Ok(0), Json::as_u64)? as usize,
-        })
+        };
+        spec.experiment()?;
+        Ok(spec)
+    }
+
+    /// The sweep this job runs on the Table 3 machine, or why it
+    /// cannot run (see [`Self::from_json`]). The one check behind
+    /// parsing, [`ExperimentService::submit`] and the worker.
+    fn experiment(&self) -> Result<Experiment, String> {
+        let mut specs = Vec::with_capacity(self.workloads.len());
+        for w in &self.workloads {
+            let base = workloads::by_name(&w.name)
+                .ok_or_else(|| format!("unknown workload `{}`", w.name))?;
+            specs.push(match w.scale {
+                None => base,
+                Some(s) if s.is_finite() && s > 0.0 => base.scaled(s),
+                Some(s) => return Err(format!("workload scale must be positive, got {s}")),
+            });
+        }
+        let mut experiment = Experiment::new(MachineConfig::table3())
+            .workloads(specs)
+            .schemes(self.schemes.iter().cloned())
+            .len(self.len)
+            .seed(self.seed);
+        if self.threads > 0 {
+            experiment = experiment.threads(self.threads);
+        }
+        if let Some(sampling) = self.sampling {
+            experiment = experiment.sampling(sampling);
+        }
+        experiment.check()?;
+        Ok(experiment)
     }
 
     /// Cells this job sweeps.
@@ -244,7 +257,6 @@ struct Worker {
     jobs_dir: PathBuf,
     cache: Arc<DiskCellStore>,
     cache_max_bytes: Option<u64>,
-    snapshots: Arc<SnapshotStore>,
     table: Arc<JobTable>,
     draining: Arc<AtomicBool>,
 }
@@ -254,7 +266,6 @@ struct Worker {
 pub struct ExperimentService {
     jobs_dir: PathBuf,
     cache: Arc<DiskCellStore>,
-    snapshots: Arc<SnapshotStore>,
     queue: Mutex<Option<Sender<QueuedJob>>>,
     table: Arc<JobTable>,
     next_id: Mutex<JobId>,
@@ -319,7 +330,6 @@ impl ExperimentService {
             // not only after the first job.
             cache.gc(max);
         }
-        let snapshots = Arc::new(SnapshotStore::new());
         let table = Arc::new(JobTable {
             states: Mutex::new(HashMap::new()),
             changed: Condvar::new(),
@@ -373,7 +383,6 @@ impl ExperimentService {
             jobs_dir: jobs_dir.clone(),
             cache: Arc::clone(&cache),
             cache_max_bytes,
-            snapshots: Arc::clone(&snapshots),
             table: Arc::clone(&table),
             draining: Arc::clone(&draining),
         });
@@ -385,7 +394,6 @@ impl ExperimentService {
         Ok(ExperimentService {
             jobs_dir,
             cache,
-            snapshots,
             queue: Mutex::new(Some(tx)),
             table,
             next_id: Mutex::new(next_id),
@@ -396,10 +404,13 @@ impl ExperimentService {
 
     /// Submits a job: the spec is durably persisted *before* this
     /// returns, so an accepted job survives a crash. Fails when the
-    /// service is draining (shutdown refuses new work) or the spec
-    /// cannot be persisted. The returned receiver streams one
-    /// [`JobProgress`] per completed cell.
+    /// spec cannot run (see [`JobSpec::from_json`]), when the service
+    /// is draining (shutdown refuses new work), or when the spec cannot
+    /// be persisted or queued; a refused spec leaves no file behind.
+    /// The returned receiver streams one [`JobProgress`] per completed
+    /// cell.
     pub fn submit(&self, spec: &JobSpec) -> Result<(JobId, mpsc::Receiver<JobProgress>), String> {
+        spec.experiment()?;
         if self.draining.load(Ordering::SeqCst) {
             return Err("service is shutting down and not accepting jobs".into());
         }
@@ -418,19 +429,23 @@ impl ExperimentService {
             *next += 1;
             id
         };
-        write_atomic(
-            &self.jobs_dir.join(format!("{id}.json")),
-            spec.to_json().render().as_bytes(),
-        )
-        .map_err(|e| format!("persisting job spec: {e}"))?;
+        let spec_path = self.jobs_dir.join(format!("{id}.json"));
+        write_atomic(&spec_path, spec.to_json().render().as_bytes())
+            .map_err(|e| format!("persisting job spec: {e}"))?;
         let (progress_tx, progress_rx) = mpsc::channel();
         self.table.set(id, JobState::Queued);
-        tx.send(QueuedJob {
+        let queued = QueuedJob {
             id,
             spec: spec.clone(),
             progress: Some(progress_tx),
-        })
-        .map_err(|_| "worker has exited".to_string())?;
+        };
+        if tx.send(queued).is_err() {
+            // Nothing will run it: do not leave it pending for a
+            // restart either.
+            self.table.states.lock().unwrap().remove(&id);
+            let _ = fs::remove_file(&spec_path);
+            return Err("worker has exited".into());
+        }
         Ok((id, progress_rx))
     }
 
@@ -457,11 +472,6 @@ impl ExperimentService {
     /// The shared result cache (hit/miss accounting for callers).
     pub fn cache(&self) -> &DiskCellStore {
         &self.cache
-    }
-
-    /// The warmed-state snapshot store.
-    pub fn snapshots(&self) -> &SnapshotStore {
-        &self.snapshots
     }
 
     /// Whether shutdown has begun (new submissions are refused).
@@ -515,24 +525,17 @@ impl Worker {
 
     fn run_job(&self, job: &QueuedJob) -> JobState {
         let QueuedJob { id, spec, progress } = job;
+        let experiment = match spec.experiment() {
+            Ok(experiment) => experiment,
+            Err(e) => return JobState::Failed(e),
+        };
         let checkpoint = Arc::new(JobCheckpoint::new(
             Arc::clone(&self.cache),
             self.jobs_dir.join(format!("{id}.ckpt.json")),
         ));
         let progress = progress.as_ref().map(|tx| Mutex::new(tx.clone()));
-        let mut experiment = Experiment::new(MachineConfig::table3())
-            .workloads(spec.workloads.iter().map(|w| {
-                let base = workloads::by_name(&w.name).expect("validated at submission");
-                match w.scale {
-                    Some(scale) => base.scaled(scale),
-                    None => base,
-                }
-            }))
-            .schemes(spec.schemes.iter().cloned())
-            .len(spec.len)
-            .seed(spec.seed)
+        let experiment = experiment
             .cell_store(checkpoint)
-            .snapshots(Arc::clone(&self.snapshots))
             .cancel_flag(Arc::clone(&self.draining))
             .on_progress(move |event| {
                 if let Some(tx) = &progress {
@@ -545,12 +548,6 @@ impl Worker {
                     });
                 }
             });
-        if spec.threads > 0 {
-            experiment = experiment.threads(spec.threads);
-        }
-        if let Some(sampling) = spec.sampling {
-            experiment = experiment.sampling(sampling);
-        }
         match experiment.try_run() {
             Ok(report) => {
                 let rendered = report.to_json();

@@ -12,8 +12,6 @@ use fe_uarch::{MemStats, MemorySystem};
 use crate::pipeline::{
     backend::Backend, bpu::Bpu, fetch::FetchUnit, stall, PipelineState, SUPPLY_CAP,
 };
-use crate::runner::RunLength;
-use crate::schedule::Schedule;
 use crate::source::SourceKind;
 
 pub use crate::pipeline::{EngineScheme, SchemeKind};
@@ -27,8 +25,7 @@ pub struct Simulator<'p> {
     bpu: Bpu,
     fetch: FetchUnit,
     pub(crate) backend: Backend,
-    /// Quiescent-span skipping is armed (see
-    /// [`Self::enable_batch_accel`]).
+    /// Quiescent-span skipping is armed (see [`Self::enable_accel`]).
     skip_quiet: bool,
     /// Cycles skipped in starved spans (see `try_skip_starved_span`).
     pub(crate) starved_cycles_skipped: u64,
@@ -116,16 +113,19 @@ impl<'p> Simulator<'p> {
 
     /// Runs `warmup` instructions untimed-for-stats, then measures
     /// `measure` instructions and returns their statistics — the
-    /// full-detail schedule of the [`schedule`](crate::schedule) driver,
-    /// run to completion with the accelerations off.
+    /// full-detail cell run. [`run_cells`](crate::run_cells) calls it
+    /// with the accelerations armed; called directly, they stay off.
     ///
     /// A finite source (a trace) that runs out of records before the
     /// run completes ends the run early with the statistics measured so
     /// far — check [`Self::source_exhausted`] — rather than panicking.
     pub fn run(&mut self, warmup: u64, measure: u64) -> SimStats {
-        Schedule::new(RunLength { warmup, measure }, None)
-            .run(self)
-            .stats
+        self.step_until(warmup);
+        self.begin_measurement();
+        // Measure relative to the actual measurement start (warmup may
+        // overshoot by a partial retire-width).
+        self.step_until(self.state.retired_total + measure);
+        self.finalize()
     }
 
     /// One simulated cycle: tick the stages front to back, then account
@@ -162,7 +162,7 @@ impl<'p> Simulator<'p> {
     /// [`CellRun::reference`](crate::CellRun::reference) is set; an
     /// unarmed cell is the byte-for-byte reference the armed ones are
     /// checked against.
-    pub(crate) fn enable_batch_accel(&mut self) {
+    pub(crate) fn enable_accel(&mut self) {
         self.state.tage.enable_fold_scratch();
         self.skip_quiet = true;
     }

@@ -50,7 +50,6 @@ use crate::json::{parse, Json};
 use crate::multi::MultiSimulator;
 use crate::runner::{run_cells, CellRun, CellSource, RunLength, SchemeSpec};
 use crate::sampling::{CellSampling, MeanCi, SamplingSpec};
-use crate::snapshot::SnapshotStore;
 
 /// What one sweep run did, counted for that run alone — diagnostics
 /// beside its [`SweepReport`], never part of the report's bytes (see
@@ -168,7 +167,6 @@ pub struct Experiment {
     trace_dir: Option<PathBuf>,
     sampling: Option<SamplingSpec>,
     cell_store: Option<Arc<dyn CellStore>>,
-    snapshots: Option<Arc<SnapshotStore>>,
     cancel: Option<Arc<AtomicBool>>,
     reference: bool,
 }
@@ -194,7 +192,6 @@ impl Experiment {
             trace_dir: None,
             sampling: None,
             cell_store: None,
-            snapshots: None,
             cancel: None,
             reference: false,
         }
@@ -314,17 +311,6 @@ impl Experiment {
         self
     }
 
-    /// Installs a warmed-state snapshot store (see the
-    /// [`snapshot`](crate::snapshot) module): sampled cells capture
-    /// their post-warmup microarchitectural state on first run and
-    /// restore it on repeats, skipping functional warming. Statistics
-    /// are bit-identical either way. Ignored for full-detail sweeps
-    /// (their warmup runs through the timed pipeline).
-    pub fn snapshots(mut self, store: Arc<SnapshotStore>) -> Self {
-        self.snapshots = Some(store);
-        self
-    }
-
     /// Installs a cooperative cancel flag: once set, workers finish the
     /// cells already in flight (persisting them to the cell store) and
     /// stop claiming new ones, making [`Self::try_run`] return
@@ -344,6 +330,65 @@ impl Experiment {
         self
     }
 
+    /// Checks the sweep can run, without running it: every rule
+    /// [`Self::run`] panics on, as an error naming the broken rule. The
+    /// sweep must have a workload (or mix) and a scheme; scheme labels,
+    /// workload names and mix names must be distinct (cells are keyed
+    /// by them); a configured baseline must be among the schemes; and a
+    /// sampled sweep needs a valid [`SamplingSpec`] whose detail window
+    /// fits the measured length once, and no mixes.
+    pub fn check(&self) -> Result<(), String> {
+        if self.workloads.is_empty() && self.mixes.is_empty() {
+            return Err("no workloads configured".into());
+        }
+        if self.schemes.is_empty() {
+            return Err("no schemes configured".into());
+        }
+        if self.sampling.is_some() && !self.mixes.is_empty() {
+            return Err("sampled mode does not support consolidation mixes \
+                 (their streams are interference-coupled and cannot fast-forward independently)"
+                .into());
+        }
+        if let Some(spec) = self.sampling {
+            CellRun::sampled(self.len, spec).check()?;
+        }
+        let labels: Vec<String> = self.schemes.iter().map(|s| s.label()).collect();
+        for (i, label) in labels.iter().enumerate() {
+            if labels[..i].contains(label) {
+                return Err(format!("duplicate scheme label `{label}`"));
+            }
+        }
+        let workloads = &self.workloads;
+        for (i, wl) in workloads.iter().enumerate() {
+            if workloads[..i].iter().any(|w| w.name == wl.name) {
+                return Err(format!(
+                    "duplicate workload name `{}` (rename one spec — cells are keyed by name)",
+                    wl.name,
+                ));
+            }
+        }
+        for (i, mix) in self.mixes.iter().enumerate() {
+            if self.mixes[..i].iter().any(|m| m.name == mix.name) {
+                return Err(format!("duplicate mix name `{}`", mix.name));
+            }
+            if let Some(id) = mix
+                .member_ids()
+                .into_iter()
+                .find(|id| workloads.iter().any(|w| w.name == *id))
+            {
+                return Err(format!(
+                    "workload name `{id}` collides with a mix member id"
+                ));
+            }
+        }
+        if let Some(baseline) = &self.baseline {
+            if !self.schemes.contains(baseline) {
+                return Err("baseline scheme is not in the scheme list".into());
+            }
+        }
+        Ok(())
+    }
+
     /// Runs the sweep and derives per-cell metrics.
     ///
     /// Programs are built once per workload (and per mix member) and
@@ -352,10 +397,11 @@ impl Experiment {
     /// cell (see the module docs); cells fan out over scoped worker
     /// threads — a mix runs as one job whose contexts interleave
     /// deterministically, so reports are byte-identical at any thread
-    /// count. Panics if the sweep is empty, if a configured baseline is
-    /// not among the schemes, if two schemes share a display label, or
-    /// if workload/mix names collide (which would make cells ambiguous
-    /// in reports and JSON).
+    /// count. Panics if [`Self::check`] refuses the sweep: an empty
+    /// sweep, a baseline not among the schemes, two schemes sharing a
+    /// display label, colliding workload/mix names (which would make
+    /// cells ambiguous in reports and JSON), or an unrunnable sampling
+    /// shape.
     pub fn run(self) -> SweepReport {
         self.try_run()
             // audit-allow(no-unchecked-panic): run() documents this panic — it only fires when a cancel flag tripped, and try_run is the typed alternative
@@ -368,6 +414,10 @@ impl Experiment {
     /// configured [`CellStore`], so re-running the same sweep resumes
     /// where it stopped.
     pub fn try_run(self) -> Result<SweepReport, Interrupted> {
+        if let Err(e) = self.check() {
+            // audit-allow(no-unchecked-panic): sweep-configuration contract — a sweep check() refuses is a caller bug caught before any cell runs; check() is the typed path
+            panic!("Experiment::run: {e}");
+        }
         let Experiment {
             machine,
             workloads,
@@ -381,58 +431,10 @@ impl Experiment {
             trace_dir,
             sampling,
             cell_store,
-            snapshots,
             cancel,
             reference,
         } = self;
-        assert!(
-            !(workloads.is_empty() && mixes.is_empty()),
-            "Experiment::run: no workloads configured"
-        );
-        assert!(
-            !schemes.is_empty(),
-            "Experiment::run: no schemes configured"
-        );
-        if let Some(spec) = &sampling {
-            assert!(
-                mixes.is_empty(),
-                "Experiment::run: sampled mode does not support consolidation mixes \
-                 (their streams are interference-coupled and cannot fast-forward independently)"
-            );
-            if let Err(e) = spec.validate() {
-                // audit-allow(no-unchecked-panic): sweep-configuration contract — an invalid sampling spec is a caller bug caught before any cell runs
-                panic!("Experiment::run: invalid sampling spec: {e}");
-            }
-        }
-
         let labels: Vec<String> = schemes.iter().map(|s| s.label()).collect();
-        for (i, label) in labels.iter().enumerate() {
-            assert!(
-                !labels[..i].contains(label),
-                "Experiment::run: duplicate scheme label `{label}`",
-            );
-        }
-        for (i, wl) in workloads.iter().enumerate() {
-            assert!(
-                !workloads[..i].iter().any(|w| w.name == wl.name),
-                "Experiment::run: duplicate workload name `{}` (rename one spec — \
-                 cells are keyed by name)",
-                wl.name,
-            );
-        }
-        for (i, mix) in mixes.iter().enumerate() {
-            assert!(
-                !mixes[..i].iter().any(|m| m.name == mix.name),
-                "Experiment::run: duplicate mix name `{}`",
-                mix.name,
-            );
-            for id in mix.member_ids() {
-                assert!(
-                    !workloads.iter().any(|w| w.name == id),
-                    "Experiment::run: workload name `{id}` collides with a mix member id",
-                );
-            }
-        }
         let baseline = baseline.or_else(|| {
             schemes
                 .contains(&SchemeSpec::NoPrefetch)
@@ -580,7 +582,6 @@ impl Experiment {
         let run = CellRun {
             len,
             sampling,
-            snapshots: snapshots.as_deref(),
             reference,
         };
         let results: Vec<Option<Vec<CellResult>>> =
@@ -724,7 +725,7 @@ impl Experiment {
 /// replay as a prefix, so shortening a sweep never invalidates the
 /// cache. Stores are reconstructed to flat traces here (lossless, see
 /// [`fe_trace::TraceStore::to_trace`]) so every downstream path —
-/// full detail, sampled, snapshot, content-addressed cache — works
+/// full detail, sampled, content-addressed cache — works
 /// over an ingested workload unchanged.
 fn obtain_trace(
     program: &Program,

@@ -167,11 +167,19 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a short run of `[` (a 10 KB frame
+/// to a service) overflows a thread's stack and aborts the process. The
+/// documents this workspace writes nest about 5 levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document. Nesting deeper than [`MAX_DEPTH`] is a parse
+/// error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -185,6 +193,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -226,11 +236,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -455,6 +477,16 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(100_000)).expect_err("100,000 open arrays");
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        let err = parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).expect_err("too deep");
+        assert!(err.contains("nesting deeper"), "{err}");
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok(), "{MAX_DEPTH} levels parse");
     }
 
     #[test]

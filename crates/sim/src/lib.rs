@@ -44,8 +44,6 @@ mod pipeline;
 pub mod report;
 pub mod runner;
 pub mod sampling;
-pub mod schedule;
-pub mod snapshot;
 pub mod source;
 
 pub use cache::{config_hash, CellKey, CellStore, CellValue, MemoryCellStore, ENGINE_VERSION};
@@ -59,5 +57,4 @@ pub use multi::{derive_ctx_seed, ContextStats, MultiSimulator, MultiStats};
 pub use report::{render_table, Series};
 pub use runner::{run_cells, CellRun, CellSource, CellStats, RunLength, SchemeSpec};
 pub use sampling::{CellSampling, MeanCi, SampledStats, SamplingSpec};
-pub use snapshot::{SnapshotKey, SnapshotStore, WarmSnapshot};
 pub use source::SourceKind;

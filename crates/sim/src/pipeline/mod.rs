@@ -94,9 +94,7 @@ impl EngineScheme {
 /// runs. The BPU queries the scheme several times per simulated cycle
 /// (`predict`, `on_demand_access`, `on_retire`, ...), so the known
 /// kinds are dispatched by `match` — monomorphized and inlinable —
-/// instead of through a vtable. Every kind is plain owned data, so a
-/// warmed scheme clones into a snapshot (see the
-/// [`snapshot`](crate::snapshot) module).
+/// instead of through a vtable.
 #[derive(Clone)]
 pub enum SchemeKind {
     /// Conventional front end, no prefetching (the baseline).

@@ -13,8 +13,6 @@ use fe_baselines::{Boomerang, Confluence, ConfluenceConfig, Fdip, NoPrefetch};
 use crate::engine::{EngineScheme, Simulator};
 use crate::pipeline::{BPU_BLOCKS_PER_CYCLE, FETCH_LINES_PER_CYCLE, SUPPLY_CAP};
 use crate::sampling::{SampledStats, SamplingSpec};
-use crate::schedule::Schedule;
-use crate::snapshot::{SnapshotKey, SnapshotStore};
 use crate::source::SourceKind;
 
 /// A control-flow-delivery scheme to evaluate.
@@ -268,31 +266,25 @@ impl<'a> CellSource<'a> {
 
 /// How long, and in which mode, every cell of a [`run_cells`] call runs.
 #[derive(Clone, Copy)]
-pub struct CellRun<'a> {
+pub struct CellRun {
     /// Warmup and measured instructions.
     pub len: RunLength,
     /// Interval sampling with functional warming (see [`SamplingSpec`]
     /// and the `sampling` module docs); `None` runs full detail.
     pub sampling: Option<SamplingSpec>,
-    /// Warmed-state snapshots for sampled cells (see the
-    /// [`snapshot`](crate::snapshot) module): on a hit the initial
-    /// functional warm is replaced by a bit-identical restore, on a miss
-    /// the cell warms and captures its state. Ignored in full detail.
-    pub snapshots: Option<&'a SnapshotStore>,
     /// Runs the cells with the accelerations (TAGE fold scratch,
     /// quiet-span skip) off: the reference the accelerated cells are
     /// checked against. Statistics are bit-identical either way.
     pub reference: bool,
 }
 
-impl CellRun<'_> {
+impl CellRun {
     /// Full detail: `len.warmup` timed but unmeasured, then `len.measure`
     /// measured.
     pub fn full(len: RunLength) -> Self {
         CellRun {
             len,
             sampling: None,
-            snapshots: None,
             reference: false,
         }
     }
@@ -306,21 +298,24 @@ impl CellRun<'_> {
         }
     }
 
-    fn validate(&self) {
+    /// Checks the run can measure anything: a valid sampling shape
+    /// whose detail window fits `len.measure` once. The one owner of
+    /// these rules; [`run_cells`] panics with the message and
+    /// [`Experiment::check`](crate::Experiment::check) returns it.
+    pub(crate) fn check(&self) -> Result<(), String> {
         let Some(spec) = self.sampling else {
-            return;
+            return Ok(());
         };
-        if let Err(e) = spec.validate() {
-            // audit-allow(no-unchecked-panic): entry-point contract — an invalid sampling spec is a caller bug, not a runtime condition; Experiment::try_run is the typed path
-            panic!("invalid sampling spec: {e}");
+        spec.validate()
+            .map_err(|e| format!("invalid sampling spec: {e}"))?;
+        if self.len.measure < spec.detail {
+            return Err(format!(
+                "sampled run measures {} instructions — too short for even one \
+                 {}-instruction detail window (shrink the spec or run full detail)",
+                self.len.measure, spec.detail,
+            ));
         }
-        assert!(
-            self.len.measure >= spec.detail,
-            "sampled run measures {} instructions — too short for even one \
-             {}-instruction detail window (shrink the spec or run full detail)",
-            self.len.measure,
-            spec.detail,
-        );
+        Ok(())
     }
 }
 
@@ -354,13 +349,19 @@ impl PartialEq for CellStats {
 /// results come back in `specs` order.
 ///
 /// Every cell runs alone over its own reader of `source`, so sampled
-/// fast-forwards seek through the replayer or store. Cells run with the
-/// accelerations armed (see the [`schedule`](crate::schedule) module)
-/// unless `run.reference` is set; a sampled cell restoring or capturing
-/// a warmed snapshot arms them only after its initial warm, so a
-/// snapshot never carries the fold scratch. The statistics are
-/// bit-identical either way, and identical across sources over the same
-/// `(program, seed)` stream.
+/// fast-forwards seek through the replayer or store. A full-detail cell
+/// is [`Simulator::run`]; a sampled one is the interval loop of the
+/// [`sampling`](crate::sampling) module. The statistics are identical
+/// across sources over the same `(program, seed)` stream.
+///
+/// Cells run with the accelerations armed unless `run.reference` is
+/// set: the TAGE fold scratch (`Tage::enable_fold_scratch` in
+/// `fe-uarch`, O(1) folded-history maintenance instead of per-lookup
+/// folding) and quiescent-span skipping (bulk-accounting stretches
+/// where every stage is provably inert). Both are bit-identical by
+/// construction; a reference cell leaves them off and is what
+/// `tests/batch_engine.rs` checks the accelerated cells against, byte
+/// for byte.
 ///
 /// `seed` seeds the live walk and the backend's load RNG (the data
 /// side is not part of a recording), so a recording must be replayed
@@ -377,10 +378,13 @@ pub fn run_cells<'a>(
     source: CellSource<'a>,
     specs: &[SchemeSpec],
     machine: &MachineConfig,
-    run: CellRun<'_>,
+    run: CellRun,
     seed: u64,
 ) -> Vec<CellStats> {
-    run.validate();
+    if let Err(e) = run.check() {
+        // audit-allow(no-unchecked-panic): entry-point contract — an unrunnable cell shape is a caller bug, not a runtime condition; Experiment::check is the typed path
+        panic!("{e}");
+    }
     source.check(program, seed);
     specs
         .iter()
@@ -390,24 +394,16 @@ pub fn run_cells<'a>(
             let stream = source.open(program, seed);
             let mut sim =
                 Simulator::with_source(program, machine.clone(), scheme, seed, mem, stream);
-            let mut schedule = Schedule::new(run.len, run.sampling);
-            if let (Some(store), Some(_)) = (run.snapshots, run.sampling) {
-                let fingerprint = source
-                    .recording()
-                    .map_or_else(|| ProgramFingerprint::of(program), |(_, h)| h.fingerprint);
-                let key = SnapshotKey::for_run(fingerprint, machine, spec, seed, run.len.warmup);
-                match store.get(&key) {
-                    Some(snap) => schedule.restore(&mut sim, &snap),
-                    None => {
-                        schedule.warm(&mut sim);
-                        store.put(key, sim.capture_warm());
-                    }
-                }
-            }
             if !run.reference {
-                sim.enable_batch_accel();
+                sim.enable_accel();
             }
-            let cell = schedule.run(&mut sim);
+            let (stats, sampled) = match run.sampling {
+                None => (sim.run(run.len.warmup, run.len.measure), None),
+                Some(spec) => {
+                    let sampled = sim.run_sampled(run.len, spec);
+                    (sampled.aggregate(), Some(sampled))
+                }
+            };
             assert!(
                 !sim.source_exhausted(),
                 "{} ran dry mid-run of `{}` — record at least \
@@ -415,7 +411,12 @@ pub fn run_cells<'a>(
                 source.describe(),
                 spec.label(),
             );
-            cell
+            CellStats {
+                stats,
+                sampled,
+                starved_cycles_skipped: sim.starved_cycles_skipped,
+                data_stall_cycles_skipped: sim.data_stall_cycles_skipped,
+            }
         })
         .collect()
 }
@@ -423,6 +424,106 @@ pub fn run_cells<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fe_cfg::workloads;
+
+    const SEED: u64 = 0x5407;
+
+    #[test]
+    fn accelerated_full_detail_matches_reference_cells() {
+        let program = workloads::zeus().scaled(0.2).build();
+        let len = RunLength {
+            warmup: 30_000,
+            measure: 80_000,
+        };
+        let machine = MachineConfig::table3();
+        let trace = Trace::record(&program, SEED, len.trace_instrs(&machine));
+        let source = CellSource::Trace(&trace);
+        let specs = [
+            SchemeSpec::NoPrefetch,
+            SchemeSpec::boomerang(),
+            SchemeSpec::shotgun(),
+        ];
+        let run = CellRun::full(len);
+        let accelerated = run_cells(&program, source, &specs, &machine, run, SEED);
+        let reference = CellRun {
+            reference: true,
+            ..run
+        };
+        let reference = run_cells(&program, source, &specs, &machine, reference, SEED);
+        for ((spec, got), want) in specs.iter().zip(&accelerated).zip(&reference) {
+            assert_eq!(
+                got,
+                want,
+                "accelerated cell diverged from the reference for {}",
+                spec.label()
+            );
+            assert_eq!(want.starved_cycles_skipped, 0);
+            assert_eq!(want.data_stall_cycles_skipped, 0);
+        }
+    }
+
+    #[test]
+    fn accelerated_sampled_matches_reference_cells() {
+        let program = workloads::streaming().scaled(0.2).build();
+        let len = RunLength {
+            warmup: 20_000,
+            measure: 200_000,
+        };
+        let machine = MachineConfig::table3();
+        let trace = Trace::record(&program, SEED, len.trace_instrs(&machine));
+        let source = CellSource::Trace(&trace);
+        let run = CellRun::sampled(
+            len,
+            SamplingSpec {
+                interval: 40_000,
+                detail: 8_000,
+                warmup: 10_000,
+            },
+        );
+        // One cell per scheme family, the Ideal front end included.
+        let schemes = [
+            SchemeSpec::NoPrefetch,
+            SchemeSpec::boomerang(),
+            SchemeSpec::Confluence,
+            SchemeSpec::shotgun(),
+            SchemeSpec::Ideal,
+        ];
+        let accelerated = run_cells(&program, source, &schemes, &machine, run, SEED);
+        let reference = CellRun {
+            reference: true,
+            ..run
+        };
+        let reference = run_cells(&program, source, &schemes, &machine, reference, SEED);
+        for ((scheme, got), want) in schemes.iter().zip(&accelerated).zip(&reference) {
+            assert_eq!(
+                got,
+                want,
+                "accelerated sampled cell diverged from the reference for {}",
+                scheme.label()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ran dry mid-run")]
+    fn truncated_trace_panics_like_serial() {
+        let program = workloads::nutch().scaled(0.05).build();
+        let len = RunLength {
+            warmup: 20_000,
+            measure: 1_000_000,
+        };
+        let trace = Trace::record(&program, SEED, 50_000);
+        let machine = MachineConfig::table3();
+        let specs = [SchemeSpec::NoPrefetch, SchemeSpec::shotgun()];
+        run_cells(
+            &program,
+            CellSource::Trace(&trace),
+            &specs,
+            &machine,
+            CellRun::full(len),
+            SEED,
+        );
+    }
 
     #[test]
     fn distinct_shotgun_configs_get_distinct_labels() {
@@ -450,7 +551,6 @@ mod tests {
 
     #[test]
     fn mismatched_recordings_panic_with_their_named_message() {
-        use fe_cfg::workloads;
         let machine = MachineConfig::table3();
         let len = RunLength {
             warmup: 1_000,

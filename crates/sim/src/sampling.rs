@@ -49,11 +49,12 @@ use fe_uarch::scheme::ControlFlowDelivery;
 use fe_uarch::RasEntry;
 
 use crate::engine::{EngineScheme, Simulator};
+use crate::runner::RunLength;
 
 /// Cap on the unmeasured timed ramp that refills the pipeline before
 /// each measured window (the window's first instructions otherwise
 /// charge artificial FTQ-empty stalls).
-pub(crate) const RAMP_CAP: u64 = 2_048;
+const RAMP_CAP: u64 = 2_048;
 
 /// How a sampled run divides each interval, in instructions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -238,10 +239,49 @@ impl CellSampling {
     }
 }
 
-/// The functional phases of a sampled run. The interval schedule that
-/// sequences them with timed detail windows is the
-/// [`schedule`](crate::schedule) driver's.
+/// The sampled cell run and its functional phases.
 impl<'p> Simulator<'p> {
+    /// Runs a sampled cell: functionally warms `len.warmup`
+    /// instructions, then covers `len.measure` with `spec`-shaped
+    /// intervals — fast-forward, functional warm, timed detail window —
+    /// until the measure is covered or the source runs dry.
+    pub(crate) fn run_sampled(&mut self, len: RunLength, spec: SamplingSpec) -> SampledStats {
+        // Stops at the first block boundary at or past the warmup, or
+        // where the source ran dry.
+        self.warm_functional(len.warmup);
+        let end = self.state.retired_total.saturating_add(len.measure);
+        let mut intervals = Vec::new();
+        while self.state.retired_total < end && !self.state.stream_ended() {
+            let budget = (end - self.state.retired_total).min(spec.interval);
+            if budget < spec.detail {
+                // Tail shorter than a detail window: cover it
+                // functionally. A sub-length measured window would
+                // enter the per-interval statistics at full weight and
+                // skew the mean and confidence interval.
+                self.warm_functional(budget);
+                continue;
+            }
+            let detail = spec.detail;
+            let fwarm = spec.warmup.min(budget - detail);
+            self.skip_functional(budget - detail - fwarm);
+            self.warm_functional(fwarm);
+            if self.state.stream_ended() || !self.begin_interval() {
+                break;
+            }
+            // Unmeasured ramp: refill the FTQ/supply so the measured
+            // window does not charge artificial cold-pipeline stalls.
+            let ramp = (detail / 16).min(RAMP_CAP);
+            self.step_until(self.state.retired_total + ramp);
+            self.begin_measurement();
+            self.step_until(self.state.retired_total + (detail - ramp));
+            let stats = self.finalize();
+            if stats.instructions > 0 {
+                intervals.push(stats);
+            }
+        }
+        SampledStats { intervals }
+    }
+
     /// Functional warming: drains at least `instrs` instructions from
     /// the source through the update-only paths (no cycles, no memory
     /// traffic), stopping at the first block boundary at or past the

@@ -35,7 +35,7 @@ pub use btb::Btb;
 pub use cache::{AccessOutcome, Evicted, LineCache};
 pub use fasthash::{BuildSplitMix64, FastMap, FastSet, SplitMix64Hasher};
 pub use inflight::InflightFills;
-pub use mem::{MemClass, MemSnapshot, MemStats, MemorySystem};
+pub use mem::{MemClass, MemStats, MemorySystem};
 pub use queue::BoundedQueue;
 pub use ras::{RasEntry, ReturnAddressStack};
 pub use scheme::{BpuOutcome, ControlFlowDelivery, FrontEndCtx, PredictedBlock};

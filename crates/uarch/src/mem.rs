@@ -62,7 +62,7 @@ pub enum MemClass {
 /// The chip-level state shared by every context of a group: the
 /// aggregate link server, the LLC array (lines tagged with the context
 /// that installed them), and the data-miss RNG.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ChipCore {
     /// Link occupancy per foreground message, background included.
     service_per_msg: f64,
@@ -138,7 +138,7 @@ pub struct MemStats {
 /// Aggregate NoC + LLC + memory timing model — a per-context handle
 /// onto chip state that may be shared with other contexts (see the
 /// module docs). Deliberately not `Clone`: a copy of a handle would
-/// alias the shared chip state, not snapshot it — create additional
+/// alias the shared chip state, not copy it — create additional
 /// contexts through [`MemorySystem::shared_group`] instead.
 ///
 /// ```
@@ -287,49 +287,6 @@ impl MemorySystem {
     /// the mesh is.
     pub fn backlog(&self, now: u64) -> f64 {
         (self.core.borrow().queue_free - now as f64).max(0.0)
-    }
-
-    /// Deep snapshot of a **private** memory system — LLC contents,
-    /// link-queue clock, RNG stream, and this handle's counters.
-    /// Returns `None` for handles in a shared group (`Rc` count > 1):
-    /// one context's copy of shared chip state would neither capture
-    /// nor restore its groupmates, so shared groups are simply not
-    /// snapshottable. This is why `MemorySystem` itself is not `Clone`
-    /// — snapshotting is the explicit, checked path.
-    pub fn snapshot(&self) -> Option<MemSnapshot> {
-        if Rc::strong_count(&self.core) != 1 {
-            return None;
-        }
-        Some(MemSnapshot {
-            core: self.core.borrow().clone(),
-            ctx: self.ctx,
-            stats: self.stats,
-            evicted_base: self.evicted_base,
-        })
-    }
-}
-
-/// A deep, owned copy of a private [`MemorySystem`]'s entire state,
-/// detached from any `Rc` sharing — safe to hold across threads and
-/// [thaw](MemSnapshot::thaw) any number of times.
-#[derive(Clone, Debug)]
-pub struct MemSnapshot {
-    core: ChipCore,
-    ctx: u8,
-    stats: MemStats,
-    evicted_base: u64,
-}
-
-impl MemSnapshot {
-    /// Rebuilds a private memory system in exactly the snapshotted
-    /// state (a fresh group of one; timing continues bit-identically).
-    pub fn thaw(&self) -> MemorySystem {
-        MemorySystem {
-            core: Rc::new(RefCell::new(self.core.clone())),
-            ctx: self.ctx,
-            stats: self.stats,
-            evicted_base: self.evicted_base,
-        }
     }
 }
 

@@ -9,7 +9,7 @@ use std::time::Duration;
 use fe_cfg::workloads;
 use fe_model::MachineConfig;
 use fe_serve::{ExperimentService, JobSpec, JobState, JobWorkload};
-use fe_sim::{Experiment, RunLength, SchemeSpec};
+use fe_sim::{Experiment, RunLength, SamplingSpec, SchemeSpec};
 
 fn tmp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fe-serve-test-{tag}-{}", std::process::id()));
@@ -46,11 +46,26 @@ fn small_job() -> JobSpec {
     }
 }
 
-/// The exact sweep `small_job` describes, run directly — the
-/// uninterrupted control every service path must reproduce
-/// byte-identically.
-fn control_report() -> String {
-    Experiment::new(MachineConfig::table3())
+/// `small_job`, sampled: 5K functionally warmed + 5K timed per 20K
+/// interval.
+fn small_sampled_job() -> JobSpec {
+    JobSpec {
+        sampling: Some(SAMPLING),
+        ..small_job()
+    }
+}
+
+const SAMPLING: SamplingSpec = SamplingSpec {
+    interval: 20_000,
+    detail: 5_000,
+    warmup: 5_000,
+};
+
+/// The exact sweep `small_job` describes (sampled per `sampling`), run
+/// directly — the uninterrupted control every service path must
+/// reproduce byte-identically.
+fn control_report(sampling: Option<SamplingSpec>) -> String {
+    let experiment = Experiment::new(MachineConfig::table3())
         .workload(workloads::nutch().scaled(0.05))
         .workload(workloads::zeus().scaled(0.05))
         .schemes([
@@ -60,24 +75,39 @@ fn control_report() -> String {
         ])
         .len(LEN)
         .seed(9)
-        .threads(1)
-        .run()
-        .to_json()
+        .threads(1);
+    match sampling {
+        Some(spec) => experiment.sampling(spec),
+        None => experiment,
+    }
+    .run()
+    .to_json()
 }
 
 #[test]
 fn killed_service_resumes_without_recomputing() {
-    let root = tmp_root("resume");
-    let spec = small_job();
+    resumes_without_recomputing("resume", &small_job());
+}
+
+#[test]
+fn killed_sampled_service_resumes_without_recomputing() {
+    resumes_without_recomputing("resume-sampled", &small_sampled_job());
+}
+
+/// Shuts a service down after the first of `spec`'s cells, reopens the
+/// root, and checks the resumed job computes every cell exactly once
+/// and reports byte-identically to the direct sweep.
+fn resumes_without_recomputing(tag: &str, spec: &JobSpec) {
+    let root = tmp_root(tag);
     let total = spec.cell_count() as u64;
-    let control = control_report();
+    let control = control_report(spec.sampling);
 
     // Phase 1: submit, let the first cell finish, then shut down
     // gracefully mid-sweep ("kill" the daemon as SIGTERM would).
     let interrupted_cells;
     {
         let service = ExperimentService::open(&root).expect("opens");
-        let (id, progress) = service.submit(&spec).expect("accepts");
+        let (id, progress) = service.submit(spec).expect("accepts");
         let first = progress.recv().expect("at least one cell completes");
         assert!(!first.cached, "a fresh root has nothing cached");
         service.shutdown();
@@ -155,6 +185,67 @@ fn malformed_submissions_are_refused_politely() {
     .unwrap();
     let err = JobSpec::from_json(&doc).expect_err("unknown workload");
     assert!(err.contains("no-such-workload"));
+
+    // Specs that parse but cannot run: refused at the door, on the wire
+    // and in process, and never persisted.
+    let one_cell = JobSpec {
+        workloads: vec![JobWorkload {
+            name: "nutch".into(),
+            scale: Some(0.05),
+        }],
+        schemes: vec![SchemeSpec::NoPrefetch],
+        ..small_job()
+    };
+    let unrunnable = [
+        (
+            JobSpec {
+                workloads: vec![JobWorkload::named("nutch"), JobWorkload::named("nutch")],
+                ..one_cell.clone()
+            },
+            "duplicate workload name `nutch`",
+        ),
+        (
+            JobSpec {
+                schemes: vec![SchemeSpec::shotgun(), SchemeSpec::shotgun()],
+                ..one_cell.clone()
+            },
+            "duplicate scheme label `shotgun`",
+        ),
+        (
+            JobSpec {
+                sampling: Some(SamplingSpec {
+                    detail: LEN.measure + 1,
+                    interval: 2 * LEN.measure,
+                    warmup: 0,
+                }),
+                ..one_cell.clone()
+            },
+            "too short for even one",
+        ),
+    ];
+    for (spec, expected) in &unrunnable {
+        let doc = fe_sim::json::parse(&spec.to_json().render()).unwrap();
+        let err = JobSpec::from_json(&doc).expect_err(expected);
+        assert!(
+            err.contains(expected),
+            "from_json: expected `{expected}`, got `{err}`"
+        );
+        let err = service.submit(spec).expect_err(expected);
+        assert!(
+            err.contains(expected),
+            "submit: expected `{expected}`, got `{err}`"
+        );
+    }
+    assert_eq!(
+        std::fs::read_dir(root.join("jobs")).unwrap().count(),
+        0,
+        "refused specs leave no job files"
+    );
+
+    // The service is still healthy: a valid job runs to completion.
+    let (id, _progress) = service.submit(&one_cell).expect("a valid job is accepted");
+    let state = service.wait(id).expect("job tracked");
+    assert!(matches!(state, JobState::Done(_)), "got {state:?}");
     drop(service);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -175,7 +266,7 @@ fn reopened_service_runs_a_pending_spec_without_a_submit() {
     let JobState::Done(report) = state else {
         panic!("the pending job must complete, got {state:?}");
     };
-    assert_eq!(report.as_str(), &control_report());
+    assert_eq!(report.as_str(), &control_report(None));
     assert!(root.join("jobs").join("7.report.json").exists());
     assert!(!root.join("jobs").join("7.json").exists());
     service.shutdown();

@@ -1,13 +1,16 @@
 //! TCP protocol round trip against a live `fe-serve` daemon core: a
 //! repeated submission must be a 100% cache hit with a report
-//! byte-identical to the computed one. Also pins that
+//! byte-identical to the computed one, and a hostile frame gets an
+//! error reply without taking the daemon down. Also pins that
 //! `Server::run_until` returns once its stop flag is set, whether or
 //! not a connection was ever made and whatever address it is bound to.
 
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use fe_serve::protocol::{read_message, write_frame};
 use fe_serve::{submit_job, ExperimentService, JobSpec, JobWorkload, Server};
 use fe_sim::{RunLength, SchemeSpec};
 
@@ -109,10 +112,9 @@ fn run_until_returns_when_no_connection_was_ever_made() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-#[test]
-fn run_until_returns_after_a_served_job() {
-    let (running, root) = serve("stop-served", "127.0.0.1:0");
-    let spec = JobSpec {
+/// A one-cell job.
+fn one_cell_job() -> JobSpec {
+    JobSpec {
         workloads: vec![JobWorkload {
             name: "nutch".into(),
             scale: Some(0.05),
@@ -122,8 +124,33 @@ fn run_until_returns_after_a_served_job() {
         seed: 9,
         sampling: None,
         threads: 1,
-    };
-    let outcome = submit_job(&running.addr, &spec).expect("job served");
+    }
+}
+
+#[test]
+fn run_until_returns_after_a_served_job() {
+    let (running, root) = serve("stop-served", "127.0.0.1:0");
+    let outcome = submit_job(&running.addr, &one_cell_job()).expect("job served");
+    assert_eq!(outcome.progress.len(), 1);
+    running.stop_within_bound();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn deeply_nested_frame_gets_an_error_and_the_daemon_keeps_serving() {
+    let (running, root) = serve("deep", "127.0.0.1:0");
+    // 100 KB of `[`, far under the frame cap: parsed on a handler
+    // thread's default stack, it must come back as a parse error.
+    let mut conn = TcpStream::connect(&running.addr).expect("connects");
+    write_frame(&mut conn, "[".repeat(100_000).as_bytes()).expect("frame sent");
+    let reply = read_message(&mut conn)
+        .expect("reply readable")
+        .expect("an error reply, not a closed socket");
+    assert_eq!(reply.req("type").unwrap().as_str().unwrap(), "error");
+    let message = reply.req("message").unwrap().as_str().unwrap();
+    assert!(message.contains("nesting deeper"), "{message}");
+    drop(conn);
+    let outcome = submit_job(&running.addr, &one_cell_job()).expect("daemon still serves");
     assert_eq!(outcome.progress.len(), 1);
     running.stop_within_bound();
     let _ = std::fs::remove_dir_all(&root);
