@@ -43,7 +43,7 @@
 
 use std::time::Instant;
 
-use fe_bench::{banner, default_len, env_f64, machine, suite, SEED};
+use fe_bench::{banner, default_len, env_f64, machine, sampling_from_env, suite, SEED};
 use fe_cfg::WorkloadSpec;
 use fe_sim::json::Json;
 use fe_sim::{run_cells, CellRun, CellSource, CellStats, RunLength, SamplingSpec, SchemeSpec};
@@ -94,7 +94,7 @@ fn main() {
     );
     let machine = machine();
     let len = default_len();
-    let sampling = SamplingSpec::DEFAULT.from_env();
+    let sampling = sampling_from_env(SamplingSpec::DEFAULT);
     if let Err(e) = sampling.validate() {
         eprintln!("invalid sampling spec: {e}");
         std::process::exit(2);

@@ -19,8 +19,8 @@
 use std::time::Instant;
 
 use fe_bench::{
-    banner, default_len, env_f64, machine, paper_shape, print_metric_table, suite, write_report,
-    WORKLOAD_ORDER,
+    banner, default_len, env_f64, machine, paper_shape, print_metric_table, sampling_from_env,
+    suite, write_report, WORKLOAD_ORDER,
 };
 use fe_sim::{SamplingSpec, SchemeSpec, SweepReport};
 use fe_trace::Trace;
@@ -41,7 +41,7 @@ fn sweep(sampling: Option<SamplingSpec>, trace_dir: &std::path::Path) -> SweepRe
 }
 
 fn main() {
-    let spec = SamplingSpec::DEFAULT.from_env();
+    let spec = sampling_from_env(SamplingSpec::DEFAULT);
     // Fail fast on a malformed SHOTGUN_SAMPLING shape — before either
     // multi-minute sweep runs (and before the banner's arithmetic).
     if let Err(e) = spec.validate() {

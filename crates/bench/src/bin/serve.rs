@@ -26,7 +26,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fe_bench::{banner, default_len, env_f64, suite, threads, write_serve_json, ServeRun, SEED};
+use fe_bench::{
+    banner, default_len, env_f64, sampling_from_env, suite, threads, write_serve_json, ServeRun,
+    SEED,
+};
 use fe_serve::{submit_job, ClientOutcome, ExperimentService, JobSpec, JobWorkload, Server};
 use fe_sim::{SamplingSpec, SchemeSpec};
 
@@ -38,7 +41,7 @@ fn main() {
     let len = default_len();
     let sampling = std::env::var("SHOTGUN_SAMPLING")
         .is_ok()
-        .then(|| SamplingSpec::DEFAULT.from_env());
+        .then(|| sampling_from_env(SamplingSpec::DEFAULT));
     if let Some(s) = sampling {
         if let Err(e) = s.validate() {
             eprintln!("invalid sampling spec: {e}");

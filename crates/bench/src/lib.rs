@@ -8,7 +8,10 @@
 //! preconfigures the [`Experiment`] session API with the Table 3
 //! machine, the Table 2 workload suite, and the evaluation seed.
 //!
-//! Every binary accepts the environment knobs:
+//! The environment knobs live here and only here: the engine crates
+//! take every setting as an explicit parameter, and the binaries and
+//! examples read the environment through this crate. Every binary
+//! accepts:
 //!
 //! * `SHOTGUN_INSTRS` — measured instructions per (workload, scheme)
 //!   cell (default per binary, typically 8M);
@@ -22,8 +25,7 @@
 //!   recorded control-flow trace there and reuse compatible recordings,
 //!   skipping the executor walk on repeated runs;
 //! * `SHOTGUN_SAMPLING` / `SHOTGUN_SAMPLING_*` — shape of sampled
-//!   simulation where a binary supports it (currently `sampling`; see
-//!   `fe_sim::SamplingSpec::from_env`).
+//!   simulation where a binary supports it (see [`sampling_from_env`]).
 
 use std::io::IsTerminal;
 
@@ -41,11 +43,56 @@ pub const SEED: u64 = 0x5407;
 
 /// Default per-cell run length for figure binaries.
 pub fn default_len() -> RunLength {
-    RunLength {
+    len_from_env(RunLength {
         warmup: 2_000_000,
         measure: 8_000_000,
+    })
+}
+
+/// `len` with `SHOTGUN_WARMUP` / `SHOTGUN_INSTRS` applied where set —
+/// the binaries' and examples' precision knob.
+pub fn len_from_env(len: RunLength) -> RunLength {
+    RunLength {
+        warmup: env_u64("SHOTGUN_WARMUP", len.warmup),
+        measure: env_u64("SHOTGUN_INSTRS", len.measure),
     }
-    .from_env()
+}
+
+/// `spec` with the `SHOTGUN_SAMPLING*` knobs applied where set:
+/// `SHOTGUN_SAMPLING=interval[:detail[:warmup]]` sets the whole shape
+/// at once (a missing or malformed field keeps `spec`'s), and
+/// `SHOTGUN_SAMPLING_INTERVAL` / `SHOTGUN_SAMPLING_DETAIL` /
+/// `SHOTGUN_SAMPLING_WARMUP` then override single fields (`_` digit
+/// separators allowed everywhere).
+pub fn sampling_from_env(spec: SamplingSpec) -> SamplingSpec {
+    let spec = match std::env::var("SHOTGUN_SAMPLING") {
+        Ok(compact) => parse_sampling(&compact, spec),
+        Err(_) => spec,
+    };
+    SamplingSpec {
+        interval: env_u64("SHOTGUN_SAMPLING_INTERVAL", spec.interval),
+        detail: env_u64("SHOTGUN_SAMPLING_DETAIL", spec.detail),
+        warmup: env_u64("SHOTGUN_SAMPLING_WARMUP", spec.warmup),
+    }
+}
+
+/// Applies a compact `interval[:detail[:warmup]]` sampling shape to
+/// `base`: each field present that parses as an integer (`_` digit
+/// separators allowed) replaces `base`'s, and a missing or malformed
+/// field keeps it.
+fn parse_sampling(compact: &str, base: SamplingSpec) -> SamplingSpec {
+    let mut fields = compact.split(':').map(parse_u64);
+    let mut next = |default: u64| fields.next().flatten().unwrap_or(default);
+    SamplingSpec {
+        interval: next(base.interval),
+        detail: next(base.detail),
+        warmup: next(base.warmup),
+    }
+}
+
+/// An integer with `_` digit separators allowed.
+fn parse_u64(text: &str) -> Option<u64> {
+    text.replace('_', "").parse().ok()
 }
 
 /// Integer environment knob with `_` separators allowed — the parsing
@@ -53,7 +100,7 @@ pub fn default_len() -> RunLength {
 pub fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
         .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
+        .and_then(|v| parse_u64(&v))
         .unwrap_or(default)
 }
 
@@ -278,4 +325,52 @@ pub fn banner(experiment: &str, what: &str) {
         len.measure / 1_000_000,
         threads(),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASE: SamplingSpec = SamplingSpec {
+        interval: 1,
+        detail: 2,
+        warmup: 3,
+    };
+
+    fn shape(interval: u64, detail: u64, warmup: u64) -> SamplingSpec {
+        SamplingSpec {
+            interval,
+            detail,
+            warmup,
+        }
+    }
+
+    #[test]
+    fn compact_sampling_sets_every_field_given() {
+        assert_eq!(
+            parse_sampling("50000:10000:20000", BASE),
+            shape(50_000, 10_000, 20_000)
+        );
+        assert_eq!(
+            parse_sampling("1_000_000:25_000:5_0000", BASE),
+            shape(1_000_000, 25_000, 50_000)
+        );
+    }
+
+    #[test]
+    fn compact_sampling_keeps_the_base_for_missing_fields() {
+        assert_eq!(parse_sampling("400", BASE), shape(400, 2, 3));
+        assert_eq!(parse_sampling("400:50", BASE), shape(400, 50, 3));
+        assert_eq!(parse_sampling("400:50:6:99", BASE), shape(400, 50, 6));
+    }
+
+    #[test]
+    fn compact_sampling_keeps_the_base_for_malformed_fields() {
+        assert_eq!(parse_sampling("", BASE), BASE);
+        assert_eq!(parse_sampling("abc", BASE), BASE);
+        assert_eq!(parse_sampling("abc:50", BASE), shape(1, 50, 3));
+        assert_eq!(parse_sampling("400::6", BASE), shape(400, 2, 6));
+        assert_eq!(parse_sampling("-5:1.5:7", BASE), shape(1, 2, 7));
+        assert_eq!(parse_sampling(" 400", BASE), BASE);
+    }
 }

@@ -52,5 +52,4 @@ mod zipf;
 pub use exec::Executor;
 pub use program::{Behavior, BlockId, Function, FunctionKind, Program};
 pub use spec::{LayerSpec, WorkloadSpec};
-pub use workloads::MixSpec;
 pub use zipf::ZipfTable;

@@ -25,92 +25,6 @@ pub fn all() -> Vec<WorkloadSpec> {
     vec![nutch(), streaming(), apache(), zeus(), oracle(), db2()]
 }
 
-/// A consolidation mix: a named set of workloads meant to run as
-/// simultaneous contexts over one shared memory system (the
-/// production deployment shape of the paper's server suite —
-/// consolidated on shared cache hierarchies).
-///
-/// Members may repeat (homogeneous consolidation); contexts are
-/// identified by position, and [`MixSpec::member_id`] derives a unique
-/// per-context id used as the workload key in sweep reports.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MixSpec {
-    /// Mix name (unique within a sweep), e.g. `apache+db2`.
-    pub name: String,
-    /// The member workloads, one per context, in context order.
-    pub members: Vec<WorkloadSpec>,
-}
-
-impl MixSpec {
-    /// Builds a mix from explicit members.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty.
-    pub fn new(name: impl Into<String>, members: Vec<WorkloadSpec>) -> Self {
-        assert!(!members.is_empty(), "a mix needs at least one member");
-        MixSpec {
-            name: name.into(),
-            members,
-        }
-    }
-
-    /// `copies` contexts of the same workload (e.g. `apache x4`),
-    /// named `<workload>.x<copies>`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `copies` is zero.
-    pub fn homogeneous(member: WorkloadSpec, copies: usize) -> Self {
-        assert!(copies > 0, "a mix needs at least one member");
-        let name = format!("{}.x{copies}", member.name);
-        MixSpec {
-            name,
-            members: vec![member; copies],
-        }
-    }
-
-    /// Unique report id of context `i`: `<mix>#<i>.<member>`.
-    pub fn member_id(&self, i: usize) -> String {
-        format!("{}#{i}.{}", self.name, self.members[i].name)
-    }
-
-    /// All member ids in context order.
-    pub fn member_ids(&self) -> Vec<String> {
-        (0..self.members.len()).map(|i| self.member_id(i)).collect()
-    }
-
-    /// Scales every member's footprint by `factor` (see
-    /// [`WorkloadSpec::scaled`]); the mix name is unchanged.
-    pub fn scaled(self, factor: f64) -> Self {
-        MixSpec {
-            name: self.name,
-            members: self.members.into_iter().map(|m| m.scaled(factor)).collect(),
-        }
-    }
-}
-
-/// The headline heterogeneous consolidation pair: a kernel-heavy web
-/// front end sharing the chip with a big-footprint OLTP database.
-pub fn apache_db2() -> MixSpec {
-    MixSpec::new("apache+db2", vec![apache(), db2()])
-}
-
-/// Parses a `+`-separated list of preset names into a mix (e.g.
-/// `"apache+db2"`, `"oracle+oracle"`). Returns `None` when any name is
-/// unknown.
-pub fn mix_by_name(name: &str) -> Option<MixSpec> {
-    // `split('+')` yields at least one piece, and any unknown (or
-    // empty) piece propagates `None` through the collect.
-    let members: Vec<WorkloadSpec> = name.split('+').map(by_name).collect::<Option<Vec<_>>>()?;
-    let canonical = members
-        .iter()
-        .map(|m| m.name.as_str())
-        .collect::<Vec<_>>()
-        .join("+");
-    Some(MixSpec::new(canonical, members))
-}
-
 /// Looks a preset up by its (case-insensitive) name.
 pub fn by_name(name: &str) -> Option<WorkloadSpec> {
     let lower = name.to_ascii_lowercase();
@@ -296,40 +210,6 @@ mod tests {
         assert!(oracle_fns > db2_fns);
         assert!(db2_fns > apache_fns);
         assert!(apache_fns > nutch_fns);
-    }
-
-    #[test]
-    fn mixes_name_and_identify_members() {
-        let mix = apache_db2();
-        assert_eq!(mix.name, "apache+db2");
-        assert_eq!(
-            mix.member_ids(),
-            vec!["apache+db2#0.apache", "apache+db2#1.db2"]
-        );
-
-        let homo = MixSpec::homogeneous(apache(), 4);
-        assert_eq!(homo.name, "apache.x4");
-        assert_eq!(homo.members.len(), 4);
-        let ids = homo.member_ids();
-        let unique: std::collections::BTreeSet<_> = ids.iter().collect();
-        assert_eq!(unique.len(), 4, "repeated members still get unique ids");
-    }
-
-    #[test]
-    fn mix_lookup_by_name() {
-        let mix = mix_by_name("Apache+DB2").expect("known presets");
-        assert_eq!(mix.name, "apache+db2");
-        assert_eq!(mix_by_name("oracle+oracle").unwrap().members.len(), 2);
-        assert!(mix_by_name("apache+postgres").is_none());
-        assert!(mix_by_name("").is_none());
-    }
-
-    #[test]
-    fn mix_scaling_applies_to_every_member() {
-        let mix = apache_db2().scaled(0.5);
-        assert_eq!(mix.name, "apache+db2");
-        assert!(mix.members[0].total_functions() < apache().total_functions());
-        assert!(mix.members[1].total_functions() < db2().total_functions());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! the service layer finishes the in-flight cell and flushes its
 //! checkpoint, and the connection handlers are joined. One connection
 //! carries one job; per-connection handler threads stream progress as
-//! the worker produces it.
+//! the worker produces it. Every connection reads and writes under
+//! a constant timeout, so a client that connects and then says nothing
+//! cannot hold the drain open.
 
 use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -31,6 +33,11 @@ const STOP_POLL: Duration = Duration::from_millis(25);
 
 /// How long the shutdown wake-up connection may take to establish.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long one read or write on a client connection may block before
+/// its handler gives up on the client. The drain joins every handler,
+/// so this bounds how long a silent client can delay shutdown.
+const CONN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Connection handlers still to join at shutdown.
 type Handlers = Arc<Mutex<Vec<JoinHandle<()>>>>;
@@ -155,6 +162,9 @@ fn handle_connection(mut conn: TcpStream, service: &ExperimentService) {
 }
 
 fn try_handle(conn: &mut TcpStream, service: &ExperimentService) -> Result<(), String> {
+    conn.set_read_timeout(Some(CONN_TIMEOUT))
+        .and_then(|()| conn.set_write_timeout(Some(CONN_TIMEOUT)))
+        .map_err(|e| format!("setting connection timeouts: {e}"))?;
     let msg = read_message(conn)
         .map_err(|e| format!("reading submit: {e}"))?
         .ok_or("connection closed before a submit")?;

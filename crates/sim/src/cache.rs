@@ -16,13 +16,11 @@
 //!   entry at once.
 //!
 //! [`Experiment`](crate::Experiment) consults a [`CellStore`] before
-//! simulating each single-workload cell and writes every freshly
-//! computed cell back, so repeated sweeps cost zero simulation and the
-//! served report is byte-identical to a computed one (the cached value
-//! round-trips through the same JSON encoding the report itself uses;
-//! u64 counters are exact and floats use the shortest round-trippable
-//! form). Consolidation mixes bypass the cache: their cells are
-//! interference-coupled and not individually addressable.
+//! simulating each cell and writes every freshly computed cell back,
+//! so repeated sweeps cost zero simulation and the served report is
+//! byte-identical to a computed one (the cached value round-trips
+//! through the same JSON encoding the report itself uses; u64 counters
+//! are exact and floats use the shortest round-trippable form).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

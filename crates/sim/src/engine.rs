@@ -18,8 +18,8 @@ pub use crate::pipeline::{EngineScheme, SchemeKind};
 
 /// The simulator for one core running one workload under one scheme:
 /// the orchestrator that ticks the pipeline stages in order each cycle.
-/// For consolidated multi-context runs over a shared memory system,
-/// see [`MultiSimulator`](crate::MultiSimulator).
+/// It owns its memory path ([`MemorySystem`]); the other tiles of the
+/// CMP appear there as background NoC load.
 pub struct Simulator<'p> {
     pub(crate) state: PipelineState<'p>,
     bpu: Bpu,
@@ -46,38 +46,12 @@ impl<'p> Simulator<'p> {
     ///
     /// Panics if `cfg` fails validation.
     pub fn new(program: &'p Program, cfg: MachineConfig, scheme: EngineScheme, seed: u64) -> Self {
-        let mem = MemorySystem::new(&cfg);
-        Self::with_memory(program, cfg, scheme, seed, mem)
-    }
-
-    /// Builds a simulator whose memory path is supplied by the caller —
-    /// the hook multi-context simulation uses to hand several pipelines
-    /// handles onto one shared LLC/NoC
-    /// ([`MemorySystem::shared_group`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails validation.
-    pub fn with_memory(
-        program: &'p Program,
-        cfg: MachineConfig,
-        scheme: EngineScheme,
-        seed: u64,
-        mem: MemorySystem,
-    ) -> Self {
-        Self::with_source(
-            program,
-            cfg,
-            scheme,
-            seed,
-            mem,
-            Executor::new(program, seed),
-        )
+        Self::with_source(program, cfg, scheme, seed, Executor::new(program, seed))
     }
 
     /// Builds a simulator whose retired stream comes from any
     /// [`SourceKind`] — the record/replay seam. A live run passes the
-    /// `fe-cfg` executor (what [`Self::with_memory`] does for you); a
+    /// `fe-cfg` executor (what [`Self::new`] does for you); a
     /// trace-driven run passes an `fe-trace` replayer (or a v2 store's)
     /// over a stream previously recorded with the same `program` and
     /// `seed`, and produces bit-identical statistics to the live run.
@@ -94,9 +68,9 @@ impl<'p> Simulator<'p> {
         cfg: MachineConfig,
         scheme: EngineScheme,
         seed: u64,
-        mem: MemorySystem,
         source: impl Into<SourceKind<'p>>,
     ) -> Self {
+        let mem = MemorySystem::new(&cfg);
         Simulator {
             state: PipelineState::new(program, cfg, scheme, mem, source.into()),
             bpu: Bpu,
@@ -353,8 +327,7 @@ impl<'p> Simulator<'p> {
         s.stats.clone()
     }
 
-    /// This context's memory-path counters (per-context traffic and
-    /// interference; see [`MemStats`]).
+    /// The memory path's traffic counters (see [`MemStats`]).
     pub fn mem_stats(&self) -> MemStats {
         self.state.mem.stats()
     }
@@ -371,7 +344,7 @@ impl<'p> Simulator<'p> {
     //
     // Everything below is `#[doc(hidden)]`: a stable-enough probe
     // surface for this workspace's tests and debugging sessions, not
-    // part of the simulator's public API (which is `new`/`with_memory`/
+    // part of the simulator's public API (which is `new`/`with_source`/
     // `run`/`mem_stats`).
 
     /// Current FTQ occupancy (tests).

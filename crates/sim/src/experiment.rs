@@ -13,9 +13,7 @@
 //! recording of the executor walk, sized by
 //! [`RunLength::trace_instrs`]) and replayed into every scheme cell,
 //! so an N-scheme sweep performs one walk per workload instead of N —
-//! with statistics bit-identical to live execution. Multi-context
-//! mixes stay live (a context's stream length depends on its
-//! neighbors' interference, so there is no fixed stream to record).
+//! with statistics bit-identical to live execution.
 //! [`Experiment::trace_dir`] additionally persists the recordings,
 //! letting repeated sweeps skip the walk entirely.
 //!
@@ -39,7 +37,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use fe_cfg::{MixSpec, Program, WorkloadSpec};
+use fe_cfg::{Program, WorkloadSpec};
 use fe_model::stats::{coverage, speedup};
 use fe_model::{MachineConfig, SimStats};
 use fe_trace::{ProgramFingerprint, Trace};
@@ -47,7 +45,6 @@ use shotgun::{RegionPolicy, ShotgunConfig};
 
 use crate::cache::{CellKey, CellStore, CellValue};
 use crate::json::{parse, Json};
-use crate::multi::MultiSimulator;
 use crate::runner::{run_cells, CellRun, CellSource, RunLength, SchemeSpec};
 use crate::sampling::{CellSampling, MeanCi, SamplingSpec};
 
@@ -56,12 +53,12 @@ use crate::sampling::{CellSampling, MeanCi, SamplingSpec};
 /// [`SweepReport::counters`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunCounters {
-    /// Cells simulated (a consolidation mix counts one per member cell).
+    /// Cells simulated.
     pub cells_computed: u64,
     /// Cells served from the configured [`CellStore`].
     pub cells_cached: u64,
-    /// Executor walks started: trace recordings, probes of recordings
-    /// found on disk, and consolidation-mix contexts.
+    /// Executor walks started: trace recordings and probes of
+    /// recordings found on disk.
     pub executor_walks: u64,
     /// Cycles the quiet-span skip fast-forwarded with the supply empty,
     /// summed over the computed cells ([`CellStats::starved_cycles_skipped`]).
@@ -135,10 +132,7 @@ pub struct ProgressEvent {
     pub completed: usize,
     /// Total cells in the sweep.
     pub total: usize,
-    /// Workload of the cell that just finished. A multi-context job
-    /// reports its *mix* name here (the whole mix completes at once);
-    /// its report cells are keyed by the member ids
-    /// ([`MixSpec::member_id`](fe_cfg::MixSpec::member_id)).
+    /// Workload of the cell that just finished.
     pub workload: WorkloadId,
     /// Scheme label of the cell that just finished.
     pub scheme: String,
@@ -149,15 +143,11 @@ pub struct ProgressEvent {
 
 type ProgressFn = Box<dyn Fn(&ProgressEvent) + Send + Sync>;
 
-/// Builder for a (workload × scheme) sweep session. Cells may be
-/// single-context (one workload, private memory) or multi-context
-/// ([`MixSpec`] — every member ticking round-robin over one shared
-/// LLC/NoC); a mix contributes one report cell per member, keyed by
-/// [`MixSpec::member_id`].
+/// Builder for a (workload × scheme) sweep session. Each cell is one
+/// workload under one scheme on its own simulated core.
 pub struct Experiment {
     machine: MachineConfig,
     workloads: Vec<WorkloadSpec>,
-    mixes: Vec<MixSpec>,
     schemes: Vec<SchemeSpec>,
     len: RunLength,
     seed: u64,
@@ -182,7 +172,6 @@ impl Experiment {
         Experiment {
             machine,
             workloads: Vec::new(),
-            mixes: Vec::new(),
             schemes: Vec::new(),
             len: RunLength::DEFAULT,
             seed: 0,
@@ -206,21 +195,6 @@ impl Experiment {
     /// Appends one workload.
     pub fn workload(mut self, spec: WorkloadSpec) -> Self {
         self.workloads.push(spec);
-        self
-    }
-
-    /// Appends a multi-context consolidation mix: each scheme gets one
-    /// [`MultiSimulator`] run of the whole mix over a shared memory
-    /// system, producing one cell per member (context `i` is seeded
-    /// with [`derive_ctx_seed`](crate::derive_ctx_seed)`(seed, i)`).
-    pub fn mix(mut self, mix: MixSpec) -> Self {
-        self.mixes.push(mix);
-        self
-    }
-
-    /// Appends several consolidation mixes.
-    pub fn mixes(mut self, mixes: impl IntoIterator<Item = MixSpec>) -> Self {
-        self.mixes.extend(mixes);
         self
     }
 
@@ -250,9 +224,8 @@ impl Experiment {
     }
 
     /// Sets the worker-thread count; results are identical at any
-    /// value. Threads claim one cell at a time (consolidation mixes
-    /// first), so a sweep keeps every thread busy while cells remain,
-    /// however few workloads it has.
+    /// value. Threads claim one cell at a time, so a sweep keeps every
+    /// thread busy while cells remain, however few workloads it has.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -291,10 +264,6 @@ impl Experiment {
     /// interval mean ± 95% CI) next to their aggregate statistics, and
     /// the report JSON grows matching `sampling` fields. Reports stay
     /// byte-identical at any thread count.
-    ///
-    /// Consolidation mixes are not supported in sampled mode (their
-    /// streams are interference-coupled and cannot fast-forward
-    /// independently); `run` panics on the combination.
     pub fn sampling(mut self, spec: SamplingSpec) -> Self {
         self.sampling = Some(spec);
         self
@@ -305,7 +274,7 @@ impl Experiment {
     /// single-workload cell the sweep consults the store by
     /// [`CellKey`], and every freshly simulated cell is written back.
     /// A fully cached workload skips its executor walk and trace
-    /// recording entirely. Consolidation mixes always simulate.
+    /// recording entirely.
     pub fn cell_store(mut self, store: Arc<dyn CellStore>) -> Self {
         self.cell_store = Some(store);
         self
@@ -332,22 +301,17 @@ impl Experiment {
 
     /// Checks the sweep can run, without running it: every rule
     /// [`Self::run`] panics on, as an error naming the broken rule. The
-    /// sweep must have a workload (or mix) and a scheme; scheme labels,
-    /// workload names and mix names must be distinct (cells are keyed
-    /// by them); a configured baseline must be among the schemes; and a
-    /// sampled sweep needs a valid [`SamplingSpec`] whose detail window
-    /// fits the measured length once, and no mixes.
+    /// sweep must have a workload and a scheme; scheme labels and
+    /// workload names must be distinct (cells are keyed by them); a
+    /// configured baseline must be among the schemes; and a sampled
+    /// sweep needs a valid [`SamplingSpec`] whose detail window fits
+    /// the measured length once.
     pub fn check(&self) -> Result<(), String> {
-        if self.workloads.is_empty() && self.mixes.is_empty() {
+        if self.workloads.is_empty() {
             return Err("no workloads configured".into());
         }
         if self.schemes.is_empty() {
             return Err("no schemes configured".into());
-        }
-        if self.sampling.is_some() && !self.mixes.is_empty() {
-            return Err("sampled mode does not support consolidation mixes \
-                 (their streams are interference-coupled and cannot fast-forward independently)"
-                .into());
         }
         if let Some(spec) = self.sampling {
             CellRun::sampled(self.len, spec).check()?;
@@ -367,20 +331,6 @@ impl Experiment {
                 ));
             }
         }
-        for (i, mix) in self.mixes.iter().enumerate() {
-            if self.mixes[..i].iter().any(|m| m.name == mix.name) {
-                return Err(format!("duplicate mix name `{}`", mix.name));
-            }
-            if let Some(id) = mix
-                .member_ids()
-                .into_iter()
-                .find(|id| workloads.iter().any(|w| w.name == *id))
-            {
-                return Err(format!(
-                    "workload name `{id}` collides with a mix member id"
-                ));
-            }
-        }
         if let Some(baseline) = &self.baseline {
             if !self.schemes.contains(baseline) {
                 return Err("baseline scheme is not in the scheme list".into());
@@ -391,17 +341,15 @@ impl Experiment {
 
     /// Runs the sweep and derives per-cell metrics.
     ///
-    /// Programs are built once per workload (and per mix member) and
-    /// shared by reference; each single-context workload's retired
-    /// stream is then recorded once and replayed into every scheme
-    /// cell (see the module docs); cells fan out over scoped worker
-    /// threads — a mix runs as one job whose contexts interleave
-    /// deterministically, so reports are byte-identical at any thread
-    /// count. Panics if [`Self::check`] refuses the sweep: an empty
-    /// sweep, a baseline not among the schemes, two schemes sharing a
-    /// display label, colliding workload/mix names (which would make
-    /// cells ambiguous in reports and JSON), or an unrunnable sampling
-    /// shape.
+    /// Programs are built once per workload and shared by reference;
+    /// each workload's retired stream is then recorded once and
+    /// replayed into every scheme cell (see the module docs); cells fan
+    /// out over scoped worker threads, so reports are byte-identical at
+    /// any thread count. Panics if [`Self::check`] refuses the sweep:
+    /// an empty sweep, a baseline not among the schemes, two schemes
+    /// sharing a display label, duplicate workload names (which would
+    /// make cells ambiguous in reports and JSON), or an unrunnable
+    /// sampling shape.
     pub fn run(self) -> SweepReport {
         self.try_run()
             // audit-allow(no-unchecked-panic): run() documents this panic — it only fires when a cancel flag tripped, and try_run is the typed alternative
@@ -421,7 +369,6 @@ impl Experiment {
         let Experiment {
             machine,
             workloads,
-            mixes,
             schemes,
             len,
             seed,
@@ -448,83 +395,31 @@ impl Experiment {
         });
 
         let programs = parallel_indexed(workloads.len(), threads, |i| workloads[i].build());
-        // Mix member programs: build each *distinct* member spec once —
-        // a homogeneous mix shares one build across all its copies, and
-        // a member equal to a single workload reuses its build. Slot
-        // indices below `workloads.len()` point into `programs`, the
-        // rest into `unique_programs`.
-        let mix_member_specs: Vec<&WorkloadSpec> =
-            mixes.iter().flat_map(|m| m.members.iter()).collect();
-        let mut unique_specs: Vec<&WorkloadSpec> = Vec::new();
-        let member_slot: Vec<usize> = mix_member_specs
-            .iter()
-            .map(|spec| {
-                workloads
-                    .iter()
-                    .position(|w| w == *spec)
-                    .or_else(|| {
-                        unique_specs
-                            .iter()
-                            .position(|u| u == spec)
-                            .map(|ui| workloads.len() + ui)
-                    })
-                    .unwrap_or_else(|| {
-                        unique_specs.push(spec);
-                        workloads.len() + unique_specs.len() - 1
-                    })
-            })
-            .collect();
-        let unique_programs =
-            parallel_indexed(unique_specs.len(), threads, |i| unique_specs[i].build());
-        let program_at = |slot: usize| -> &Program {
-            if slot < workloads.len() {
-                &programs[slot]
-            } else {
-                &unique_programs[slot - workloads.len()]
-            }
-        };
-        let mut mix_programs: Vec<Vec<&Program>> = Vec::with_capacity(mixes.len());
-        let mut offset = 0;
-        for mix in &mixes {
-            mix_programs.push(
-                (0..mix.members.len())
-                    .map(|k| program_at(member_slot[offset + k]))
-                    .collect(),
-            );
-            offset += mix.members.len();
-        }
 
-        // The parallel unit is one cell: a mix job per (mix, scheme),
-        // then one job per (workload, scheme). A cached cell's job only
-        // reports it; every other cell runs alone over its own reader
-        // of the workload's recording. Mixes run N contexts serially,
-        // making them the slowest jobs: claim them first so they never
-        // tail the sweep. Results are slotted by index, so ordering is
-        // invisible in the report.
+        // The parallel unit is one cell, one job per (workload, scheme).
+        // A cached cell's job only reports it; every other cell runs
+        // alone over its own reader of the workload's recording. Results
+        // are slotted by index, so ordering is invisible in the report.
         let n_schemes = schemes.len();
-        let mix_jobs = mixes.len() * n_schemes;
         // Total jobs — what progress events and `Interrupted` count.
-        let total = mix_jobs + workloads.len() * n_schemes;
+        let total = workloads.len() * n_schemes;
 
-        // Cache consult: resolve every single-workload cell's content
-        // address and load whatever the store already holds. Mix cells
-        // are interference-coupled and never cached.
+        // Cache consult: resolve every cell's content address and load
+        // whatever the store already holds.
         let fingerprints: Vec<ProgramFingerprint> =
             programs.iter().map(ProgramFingerprint::of).collect();
         let keys: Vec<Option<CellKey>> = (0..total)
             .map(|cell| {
-                if cell_store.is_none() || cell < mix_jobs {
-                    return None;
-                }
-                let (wi, si) = ((cell - mix_jobs) / n_schemes, (cell - mix_jobs) % n_schemes);
-                Some(CellKey::for_cell(
-                    fingerprints[wi],
-                    &machine,
-                    &schemes[si],
-                    len,
-                    seed,
-                    sampling,
-                ))
+                cell_store.is_some().then(|| {
+                    CellKey::for_cell(
+                        fingerprints[cell / n_schemes],
+                        &machine,
+                        &schemes[cell % n_schemes],
+                        len,
+                        seed,
+                        sampling,
+                    )
+                })
             })
             .collect();
         let cached: Vec<Option<CellValue>> = keys
@@ -543,8 +438,7 @@ impl Experiment {
         let walks = AtomicU64::new(0);
         let needed_instrs = len.trace_instrs(&machine);
         let traces: Vec<Option<Trace>> = parallel_indexed(workloads.len(), threads, |wi| {
-            let all_cached =
-                (0..n_schemes).all(|si| cached[mix_jobs + wi * n_schemes + si].is_some());
+            let all_cached = (0..n_schemes).all(|si| cached[wi * n_schemes + si].is_some());
             if all_cached {
                 None
             } else {
@@ -563,10 +457,9 @@ impl Experiment {
         let served = AtomicU64::new(0);
         let starved_skipped = AtomicU64::new(0);
         let data_stall_skipped = AtomicU64::new(0);
-        // Each job yields the stats of its cells (one for a single
-        // workload's cell, one per member for a mix), plus the sampling
-        // summary when the sweep runs sampled. `None` slots are jobs a
-        // set cancel flag kept workers from claiming.
+        // Each job yields its cell's stats, plus the sampling summary
+        // when the sweep runs sampled. `None` slots are jobs a set
+        // cancel flag kept workers from claiming.
         type CellResult = (SimStats, Option<CellSampling>);
         let emit = |name: &str, si: usize, was_cached: bool| {
             if let Some(cb) = &progress {
@@ -584,33 +477,14 @@ impl Experiment {
             sampling,
             reference,
         };
-        let results: Vec<Option<Vec<CellResult>>> =
+        let results: Vec<Option<CellResult>> =
             parallel_indexed_cancellable(total, threads, cancel.as_deref(), |job| {
-                if job < mix_jobs {
-                    let (mi, si) = (job / n_schemes, job % n_schemes);
-                    let members = mix_programs[mi]
-                        .iter()
-                        .map(|p| (*p, schemes[si].build(&machine)))
-                        .collect();
-                    let multi =
-                        MultiSimulator::new(&machine, members, seed).run(len.warmup, len.measure);
-                    let stats: Vec<CellResult> = multi
-                        .contexts
-                        .into_iter()
-                        .map(|c| (c.stats, None))
-                        .collect();
-                    walks.fetch_add(stats.len() as u64, Ordering::Relaxed);
-                    computed.fetch_add(stats.len() as u64, Ordering::Relaxed);
-                    emit(&mixes[mi].name, si, false);
-                    return stats;
-                }
-
-                let (wi, si) = ((job - mix_jobs) / n_schemes, (job - mix_jobs) % n_schemes);
+                let (wi, si) = (job / n_schemes, job % n_schemes);
                 let name = workloads[wi].name.as_str();
                 if let Some(hit) = &cached[job] {
                     served.fetch_add(1, Ordering::Relaxed);
                     emit(name, si, true);
-                    return vec![(hit.stats.clone(), hit.sampling.clone())];
+                    return (hit.stats.clone(), hit.sampling.clone());
                 }
                 let trace = traces[wi]
                     .as_ref()
@@ -634,7 +508,7 @@ impl Experiment {
                     );
                 }
                 emit(name, si, false);
-                vec![cell]
+                cell
             });
         let done = results.iter().filter(|r| r.is_some()).count();
         if done < total {
@@ -643,19 +517,14 @@ impl Experiment {
                 total,
             });
         }
-        let mut results: Vec<Vec<CellResult>> = results
+        let results: Vec<CellResult> = results
             .into_iter()
             .map(|r| r.expect("all jobs completed"))
-            .collect();
-        let single: Vec<CellResult> = results
-            .split_off(mix_jobs)
-            .into_iter()
-            .map(|mut cell| cell.remove(0))
             .collect();
 
         let mut cells = Vec::new();
         for (wi, wl) in workloads.iter().enumerate() {
-            let row = &single[wi * n_schemes..(wi + 1) * n_schemes];
+            let row = &results[wi * n_schemes..(wi + 1) * n_schemes];
             let base = baseline_idx.map(|bi| &row[bi].0);
             for (si, scheme) in schemes.iter().enumerate() {
                 let (cell_stats, cell_sampling) = &row[si];
@@ -669,33 +538,10 @@ impl Experiment {
                 });
             }
         }
-        for (mi, mix) in mixes.iter().enumerate() {
-            for (ctx, member_id) in mix.member_ids().into_iter().enumerate() {
-                // A member's baseline is the *same context of the same
-                // mix* under the baseline scheme — interference-aware.
-                let base = baseline_idx.map(|bi| &results[mi * n_schemes + bi][ctx].0);
-                for (si, scheme) in schemes.iter().enumerate() {
-                    let (cell_stats, cell_sampling) = &results[mi * n_schemes + si][ctx];
-                    cells.push(SweepCell {
-                        workload: WorkloadId(member_id.clone()),
-                        scheme: scheme.clone(),
-                        label: labels[si].clone(),
-                        metrics: CellMetrics::derive(cell_stats, base),
-                        stats: cell_stats.clone(),
-                        sampling: cell_sampling.clone(),
-                    });
-                }
-            }
-        }
 
         let workload_ids = workloads
             .iter()
             .map(|w| WorkloadId(w.name.clone()))
-            .chain(
-                mixes
-                    .iter()
-                    .flat_map(|m| m.member_ids().into_iter().map(WorkloadId)),
-            )
             .collect();
         Ok(SweepReport {
             len,

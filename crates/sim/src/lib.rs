@@ -39,7 +39,6 @@ pub mod cache;
 pub mod engine;
 pub mod experiment;
 pub mod json;
-pub mod multi;
 mod pipeline;
 pub mod report;
 pub mod runner;
@@ -53,7 +52,6 @@ pub use experiment::{
     RunCounters, SweepCell, SweepReport, WorkloadId,
 };
 pub use fe_trace::ProgramFingerprint;
-pub use multi::{derive_ctx_seed, ContextStats, MultiSimulator, MultiStats};
 pub use report::{render_table, Series};
 pub use runner::{run_cells, CellRun, CellSource, CellStats, RunLength, SchemeSpec};
 pub use sampling::{CellSampling, MeanCi, SampledStats, SamplingSpec};

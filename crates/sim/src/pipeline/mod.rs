@@ -42,9 +42,7 @@
 //!   stall taxonomy (§6.1), in priority order.
 //!
 //! The module is crate-private by design: the public simulation surface
-//! is the [`Simulator`](crate::Simulator) orchestrator (and
-//! [`MultiSimulator`](crate::MultiSimulator) for consolidated
-//! multi-context runs).
+//! is the [`Simulator`](crate::Simulator) orchestrator.
 
 use std::collections::VecDeque;
 
@@ -224,7 +222,7 @@ pub(crate) const BPU_BLOCKS_PER_CYCLE: u32 = 2;
 /// Cache lines the fetch unit can read per cycle.
 pub(crate) const FETCH_LINES_PER_CYCLE: u32 = 2;
 
-/// State shared by every pipeline stage of one simulated context: the
+/// State shared by every pipeline stage of the simulated core: the
 /// hardware structures, the inter-stage buffers, the cross-stage
 /// signals, and the accounting.
 ///

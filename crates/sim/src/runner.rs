@@ -5,7 +5,6 @@
 use fe_cfg::{Executor, Program};
 use fe_model::{MachineConfig, SimStats};
 use fe_trace::{ProgramFingerprint, Trace, TraceHeader, TraceStore};
-use fe_uarch::MemorySystem;
 use shotgun::{RegionPolicy, ShotgunConfig, ShotgunPrefetcher};
 
 use fe_baselines::{Boomerang, Confluence, ConfluenceConfig, Fdip, NoPrefetch};
@@ -156,18 +155,6 @@ impl RunLength {
         warmup: 10_000_000,
         measure: 200_000_000,
     };
-
-    /// Reads `SHOTGUN_WARMUP` / `SHOTGUN_INSTRS` from the environment,
-    /// falling back to `self` — the figure binaries' precision knob.
-    pub fn from_env(self) -> RunLength {
-        let parse =
-            // audit-allow(no-env-in-engine): figure-binary precision knobs — read once at startup by the binaries that opt in via from_env, never during measurement, defaults everywhere else
-            |name: &str| -> Option<u64> { std::env::var(name).ok()?.replace('_', "").parse().ok() };
-        RunLength {
-            warmup: parse("SHOTGUN_WARMUP").unwrap_or(self.warmup),
-            measure: parse("SHOTGUN_INSTRS").unwrap_or(self.measure),
-        }
-    }
 
     /// Instructions a recorded trace must hold to replay a run of this
     /// length on `machine`: warmup + measure, plus the pipeline's
@@ -390,10 +377,8 @@ pub fn run_cells<'a>(
         .iter()
         .map(|spec| {
             let scheme = spec.build(machine);
-            let mem = MemorySystem::new(machine);
             let stream = source.open(program, seed);
-            let mut sim =
-                Simulator::with_source(program, machine.clone(), scheme, seed, mem, stream);
+            let mut sim = Simulator::with_source(program, machine.clone(), scheme, seed, stream);
             if !run.reference {
                 sim.enable_accel();
             }

@@ -101,41 +101,6 @@ impl SamplingSpec {
     pub fn timed_fraction(&self) -> f64 {
         self.detail as f64 / self.interval as f64
     }
-
-    /// Reads the `SHOTGUN_SAMPLING*` environment knobs, falling back to
-    /// `self` for anything unset: `SHOTGUN_SAMPLING=interval[:detail[:warmup]]`
-    /// sets the whole shape at once, and `SHOTGUN_SAMPLING_INTERVAL` /
-    /// `SHOTGUN_SAMPLING_DETAIL` / `SHOTGUN_SAMPLING_WARMUP` override
-    /// individual fields (`_` digit separators allowed everywhere).
-    pub fn from_env(self) -> SamplingSpec {
-        let parse = |text: &str| -> Option<u64> { text.replace('_', "").parse().ok() };
-        let mut spec = self;
-        // audit-allow(no-env-in-engine): sampling-shape knobs — read once by binaries that opt in via from_env; the resolved spec is recorded in every report, so results stay attributable
-        if let Ok(compact) = std::env::var("SHOTGUN_SAMPLING") {
-            let mut fields = compact.split(':');
-            if let Some(v) = fields.next().and_then(parse) {
-                spec.interval = v;
-            }
-            if let Some(v) = fields.next().and_then(parse) {
-                spec.detail = v;
-            }
-            if let Some(v) = fields.next().and_then(parse) {
-                spec.warmup = v;
-            }
-        }
-        // audit-allow(no-env-in-engine): same from_env opt-in as above — per-field overrides of the compact spec
-        let env = |name: &str| std::env::var(name).ok().as_deref().and_then(parse);
-        if let Some(v) = env("SHOTGUN_SAMPLING_INTERVAL") {
-            spec.interval = v;
-        }
-        if let Some(v) = env("SHOTGUN_SAMPLING_DETAIL") {
-            spec.detail = v;
-        }
-        if let Some(v) = env("SHOTGUN_SAMPLING_WARMUP") {
-            spec.warmup = v;
-        }
-        spec
-    }
 }
 
 /// A sample mean with its 95% confidence half-width (normal

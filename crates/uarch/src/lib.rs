@@ -8,7 +8,7 @@
 //!   structure; the storage substrate for every cache and BTB variant.
 //! * [`cache::LineCache`] — instruction/data cache with per-line
 //!   prefetch/first-use tracking (feeds Fig. 10's accuracy metric).
-//! * [`mem::MemorySystem`] — the shared NoC + NUCA LLC + memory path
+//! * [`mem::MemorySystem`] — one core's NoC + shared NUCA LLC + memory path
 //!   with queueing and background traffic from the 15 undetailed cores
 //!   (Table 3's 4x4 mesh; feeds Fig. 11's fill-latency experiment).
 //! * [`tage::Tage`] — the 8 KB TAGE conditional direction predictor.

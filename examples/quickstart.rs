@@ -37,13 +37,10 @@ fn main() {
             SchemeSpec::boomerang(),
             SchemeSpec::shotgun(),
         ])
-        .len(
-            RunLength {
-                warmup: 2_000_000,
-                measure: 6_000_000,
-            }
-            .from_env(),
-        )
+        .len(fe_bench::len_from_env(RunLength {
+            warmup: 2_000_000,
+            measure: 6_000_000,
+        }))
         .seed(42)
         .run();
 

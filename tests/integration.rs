@@ -213,3 +213,13 @@ fn branch_working_set_shape_matches_fig4() {
         prof.coverage_all(k),
     );
 }
+
+/// A simulator owns its whole state, memory path included, so a cell
+/// can move to another thread. A shared handle (`Rc`, `RefCell`) in
+/// either type would fail this at compile time.
+#[test]
+fn simulator_and_memory_system_are_send() {
+    fn assert_send<T: Send>() {}
+    assert_send::<fe_uarch::MemorySystem>();
+    assert_send::<fe_sim::Simulator<'static>>();
+}

@@ -9,7 +9,6 @@ use fe_sim::{
     Simulator, SweepReport,
 };
 use fe_trace::Trace;
-use fe_uarch::MemorySystem;
 use proptest::prelude::*;
 
 const LEN: RunLength = RunLength {
@@ -127,9 +126,7 @@ fn truncated_trace_degrades_into_reported_stall_not_panic() {
     // Deliberately short: a fraction of what the run needs.
     let trace = Trace::record(&program, 9, 60_000);
     let scheme = SchemeSpec::shotgun().build(&machine);
-    let mem = MemorySystem::new(&machine);
-    let mut sim =
-        Simulator::with_source(&program, machine.clone(), scheme, 9, mem, trace.replayer());
+    let mut sim = Simulator::with_source(&program, machine.clone(), scheme, 9, trace.replayer());
     let stats = sim.run(20_000, 500_000);
     assert!(
         sim.source_exhausted(),
@@ -144,13 +141,11 @@ fn truncated_trace_degrades_into_reported_stall_not_panic() {
 
     // The ideal front end reads the oracle furthest ahead — its
     // truncation path (BPU read-ahead) must degrade too.
-    let mem = MemorySystem::new(&machine);
     let mut ideal = Simulator::with_source(
         &program,
         machine.clone(),
         EngineScheme::Ideal,
         9,
-        mem,
         trace.replayer(),
     );
     let stats = ideal.run(20_000, 500_000);
@@ -204,13 +199,11 @@ proptest! {
 
         for spec in [SchemeSpec::shotgun(), SchemeSpec::Ideal] {
             let scheme = spec.build(&machine);
-            let mem = MemorySystem::new(&machine);
             let mut sim = Simulator::with_source(
                 &program,
                 machine.clone(),
                 scheme,
                 seed,
-                mem,
                 trace.replayer(),
             );
             let stats = sim.run(len.warmup, len.measure);

@@ -3,7 +3,8 @@
 //! byte-identical to the computed one, and a hostile frame gets an
 //! error reply without taking the daemon down. Also pins that
 //! `Server::run_until` returns once its stop flag is set, whether or
-//! not a connection was ever made and whatever address it is bound to.
+//! not a connection was ever made, whatever address it is bound to, and
+//! even while a client sits connected without sending anything.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -133,6 +134,22 @@ fn run_until_returns_after_a_served_job() {
     let outcome = submit_job(&running.addr, &one_cell_job()).expect("job served");
     assert_eq!(outcome.progress.len(), 1);
     running.stop_within_bound();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn silent_client_does_not_block_shutdown() {
+    let (running, root) = serve("stop-silent", "127.0.0.1:0");
+    // Connects and sends nothing: its handler waits for a submit.
+    let mut silent = TcpStream::connect(&running.addr).expect("connects");
+    let outcome = submit_job(&running.addr, &one_cell_job()).expect("daemon still serves");
+    assert_eq!(outcome.progress.len(), 1);
+    running.stop_within_bound();
+    // The handler gave up on the silent client with an error reply.
+    let reply = read_message(&mut silent)
+        .expect("reply readable")
+        .expect("an error reply, not a closed socket");
+    assert_eq!(reply.req("type").unwrap().as_str().unwrap(), "error");
     let _ = std::fs::remove_dir_all(&root);
 }
 
